@@ -22,8 +22,7 @@
 //!   NACK-audited request's service window to a real channel-failure
 //!   interval of the device it names, cross-checks the controller's
 //!   failover transitions against the schedule-only oracle over the
-//!   delivered prefix, re-runs the trial sharded for byte-identity, and
-//!   drives a short AIMD search demanding ledger evidence behind every
+//!   delivered prefix, and drives a short AIMD search demanding ledger evidence behind every
 //!   SLO violation the regulator backs off from.
 //!
 //! Exits 0 and prints `chaos: 0 invariant violations` when clean; exits 1
@@ -38,8 +37,8 @@ use silcfm_serve::{run_serve, Aimd, AimdParams, FailureTimeline, ServeParams};
 use silcfm_sim::experiment::space_for;
 use silcfm_sim::runner::ExperimentGrid;
 use silcfm_sim::{
-    run_faulted, run_faulted_traced, run_grid_journaled, run_grid_journaled_sharded, FaultParams,
-    RunParams, RunResult, SchemeKind, ShardParams, TraceParams,
+    run_faulted, run_faulted_traced, run_grid_journaled, FaultParams, RunParams, RunResult,
+    SchemeKind, TraceParams,
 };
 use silcfm_trace::{arrivals, profiles};
 use silcfm_types::obs::Event;
@@ -53,10 +52,6 @@ struct Opts {
     journal: Option<PathBuf>,
     resume: bool,
     die_after_jobs: Option<u64>,
-    /// Run each journaled job on the sharded runner with this many threads
-    /// inside the simulation (results stay bit-identical, so sharded and
-    /// serial invocations share journals).
-    sharded: Option<usize>,
 }
 
 impl Opts {
@@ -69,7 +64,6 @@ impl Opts {
             journal: None,
             resume: false,
             die_after_jobs: None,
-            sharded: None,
         };
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
@@ -95,13 +89,6 @@ impl Opts {
                             .unwrap_or_else(|_| die("bad --die-after-jobs")),
                     );
                 }
-                "--sharded" => {
-                    opts.sharded = Some(
-                        value("--sharded")
-                            .parse()
-                            .unwrap_or_else(|_| die("bad --sharded")),
-                    );
-                }
                 other => die(&format!("unknown option {other}")),
             }
         }
@@ -113,7 +100,7 @@ fn die(msg: &str) -> ! {
     eprintln!("chaos: {msg}");
     eprintln!(
         "usage: chaos [--smoke] [--seed N] [--skip-soak] [--slo] \
-         [--journal PATH [--resume] [--die-after-jobs N] [--sharded THREADS]]"
+         [--journal PATH [--resume] [--die-after-jobs N]]"
     );
     std::process::exit(2);
 }
@@ -380,7 +367,7 @@ fn slo_soak(opts: &Opts, violations: &mut Vec<String>) {
                 violations.push(format!("{tag}: {msg}"));
             }
         };
-        let run_at = |threads: usize, rate: u64| {
+        let run_at = |rate: u64| {
             run_serve(
                 profile,
                 scheme,
@@ -390,11 +377,10 @@ fn slo_soak(opts: &Opts, violations: &mut Vec<String>) {
                 arrival,
                 rate,
                 Some(&faults),
-                &ShardParams::with_threads(threads),
             )
         };
         let rate = 300;
-        let report = match run_at(1, rate) {
+        let report = match run_at(rate) {
             Ok(r) => r,
             Err(e) => {
                 check(false, format!("run failed: {e}"));
@@ -461,15 +447,6 @@ fn slo_soak(opts: &Opts, violations: &mut Vec<String>) {
             ),
         );
 
-        // The serving plane stays byte-identical under faults when sharded.
-        match run_at(2, rate) {
-            Ok(sharded) => check(
-                sharded.digest() == report.digest(),
-                "sharded serving digest differs from serial under faults".into(),
-            ),
-            Err(e) => check(false, format!("sharded run failed: {e}")),
-        }
-
         // A short AIMD search under the same faults: every violation the
         // regulator backs off from must leave ledger evidence — shed,
         // timed-out, or failed requests, or a p99 actually over the SLO.
@@ -482,7 +459,7 @@ fn slo_soak(opts: &Opts, violations: &mut Vec<String>) {
             trials: 4,
         });
         while !aimd.done() {
-            let r = match run_at(1, aimd.rate()) {
+            let r = match run_at(aimd.rate()) {
                 Ok(r) => r,
                 Err(e) => {
                     check(false, format!("search trial failed: {e}"));
@@ -556,14 +533,7 @@ fn journaled_grid(opts: &Opts, path: &PathBuf, violations: &mut Vec<String>) {
             std::process::exit(3);
         }
     };
-    let results = match opts.sharded {
-        Some(threads) => {
-            let shard = ShardParams::with_threads(threads.max(1));
-            run_grid_journaled_sharded(&jobs, 2, path, opts.resume, &shard, on_done)
-        }
-        None => run_grid_journaled(&jobs, 2, path, opts.resume, on_done),
-    };
-    match results {
+    match run_grid_journaled(&jobs, 2, path, opts.resume, on_done) {
         Ok(results) => {
             println!(
                 "journal: {} jobs complete, aggregate={:016x}",

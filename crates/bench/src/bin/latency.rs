@@ -10,23 +10,16 @@
 //! class from the mergeable quantile sketches in `silcfm-obs`. Results
 //! land in `results/BENCH_latency.json`.
 //!
-//! Before anything is written, a determinism gate re-runs one workload per
-//! scheme on the sharded engine (2 threads, plus 4 without `--smoke`) and
-//! asserts the encoded sketch bytes are identical to the serial run's —
-//! percentile artifacts that depended on the thread count would be
-//! worthless.
-//!
 //! Run with: `cargo run --release -p silcfm-bench --bin latency`
 //! Options:
 //!   --smoke       tiny runs over a 3-workload subset (CI-sized, seconds)
 //!   --full        full-size runs (minutes); default is the quick preset
 //!   --out PATH    output JSON path (default results/BENCH_latency.json)
 //!   --no-write    measure and print, but do not write the JSON
-//!   --skip-check  skip the serial-vs-sharded byte-identity gate
 
 use silcfm_obs::{LatencyBreakdown, QuantileSketch};
 use silcfm_sim::runner::{default_threads, run_grid_traced, ExperimentGrid};
-use silcfm_sim::{run_sharded_traced, RunParams, SchemeKind, ShardParams, TraceParams};
+use silcfm_sim::{RunParams, SchemeKind, TraceParams};
 use silcfm_trace::profiles;
 use silcfm_types::{AccessClass, SystemConfig};
 
@@ -45,7 +38,6 @@ struct Options {
     full: bool,
     out: String,
     write: bool,
-    check: bool,
 }
 
 fn parse_args() -> Options {
@@ -54,7 +46,6 @@ fn parse_args() -> Options {
         full: false,
         out: "results/BENCH_latency.json".to_string(),
         write: true,
-        check: true,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -63,12 +54,9 @@ fn parse_args() -> Options {
             "--full" => opts.full = true,
             "--out" => opts.out = args.next().expect("--out needs a path"),
             "--no-write" => opts.write = false,
-            "--skip-check" => opts.check = false,
             other => {
                 eprintln!("unknown argument '{other}'");
-                eprintln!(
-                    "usage: latency [--smoke | --full] [--out PATH] [--no-write] [--skip-check]"
-                );
+                eprintln!("usage: latency [--smoke | --full] [--out PATH] [--no-write]");
                 std::process::exit(2);
             }
         }
@@ -85,50 +73,6 @@ fn lineup() -> Vec<SchemeKind> {
     let mut kinds = vec![SchemeKind::NoNm];
     kinds.extend(SchemeKind::fig7_lineup());
     kinds
-}
-
-/// Sketch bytes, for determinism comparison: the codec is bit-exact, so
-/// string equality *is* distribution equality.
-fn breakdown_bytes(lat: &LatencyBreakdown) -> String {
-    let mut s = String::new();
-    lat.encode(&mut s);
-    s
-}
-
-/// The serial-vs-sharded determinism gate: one workload per scheme,
-/// re-run on the sharded engine at each thread count, sketch bytes
-/// compared against the serial grid's.
-fn sharded_gate(
-    kinds: &[SchemeKind],
-    workload: &str,
-    serial: &[(SchemeKind, LatencyBreakdown)],
-    cfg: &SystemConfig,
-    params: &RunParams,
-    trace: &TraceParams,
-    threads: &[usize],
-) {
-    let profile = profiles::by_name(workload).expect("known workload");
-    for &kind in kinds {
-        let want = serial
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, lat)| breakdown_bytes(lat))
-            .expect("serial pass covered every scheme");
-        for &n in threads {
-            let shard = ShardParams::with_threads(n);
-            let (_, report, _) = run_sharded_traced(profile, kind, cfg, params, trace, &shard);
-            let got = breakdown_bytes(&report.latency);
-            assert_eq!(
-                got,
-                want,
-                "{} on {workload}: sharded ({n} threads) sketch bytes diverged from serial",
-                kind.label()
-            );
-        }
-    }
-    println!(
-        "sharded gate: ok for all schemes on {workload} (threads {threads:?}, byte-identical)"
-    );
 }
 
 /// One JSON object body for a sketch: count, mean, and the four tail
@@ -207,28 +151,6 @@ fn main() {
             p95,
             p99,
             p999
-        );
-    }
-
-    if opts.check {
-        // 2 threads exercises the epoch-barrier merge; 4 additionally
-        // exercises lane-count-dependent partitioning. Smoke keeps only
-        // the cheap one.
-        let threads: &[usize] = if opts.smoke { &[2] } else { &[2, 4] };
-        let gate_workload = workloads[0];
-        let serial: Vec<(SchemeKind, LatencyBreakdown)> = kinds
-            .iter()
-            .enumerate()
-            .map(|(s, &kind)| (kind, results[s].1.latency.clone()))
-            .collect();
-        sharded_gate(
-            &kinds,
-            gate_workload,
-            &serial,
-            &cfg,
-            &params,
-            &trace,
-            threads,
         );
     }
 

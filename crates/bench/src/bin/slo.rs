@@ -16,10 +16,6 @@
 //!
 //! * the conservation ledger holds (`offered = completed + shed +
 //!   timed_out + failed`) — a trial that leaks a request aborts the bench;
-//! * before anything is written, a determinism gate re-runs one trial per
-//!   scheme on the sharded engine and asserts the full serving-plane
-//!   digest (ledger, latency sketch, epoch series) is byte-identical to
-//!   the serial run's;
 //! * with `--journal`, every finished trial is flushed to a crash-safe
 //!   journal; `--resume` replays the recorded verdicts through fresh
 //!   regulators and continues the search byte-identically (the
@@ -31,7 +27,6 @@
 //!   --full               full-size runs; default is the quick preset
 //!   --out PATH           output JSON path (default results/BENCH_slo.json)
 //!   --no-write           measure and print, but do not write the JSON
-//!   --skip-check         skip the serial-vs-sharded byte-identity gate
 //!   --journal PATH       journal finished trials to PATH (crash-safe)
 //!   --resume             resume a killed search from --journal PATH
 //!   --die-after-trials N exit(3) with a torn journal tail after N live
@@ -45,7 +40,7 @@ use silcfm_serve::{
     journal, run_serve, search_digest, Aimd, AimdParams, ServeParams, ServeReport,
     SloJournalWriter, TrialRecord,
 };
-use silcfm_sim::{FaultParams, RunParams, SchemeKind, ShardParams};
+use silcfm_sim::{FaultParams, RunParams, SchemeKind};
 use silcfm_trace::arrivals::{self, ArrivalProfile};
 use silcfm_trace::profiles;
 use silcfm_types::{FxHasher, SystemConfig};
@@ -68,7 +63,6 @@ struct Options {
     full: bool,
     out: String,
     write: bool,
-    check: bool,
     journal: Option<String>,
     resume: bool,
     die_after_trials: Option<usize>,
@@ -80,7 +74,6 @@ fn parse_args() -> Options {
         full: false,
         out: "results/BENCH_slo.json".to_string(),
         write: true,
-        check: true,
         journal: None,
         resume: false,
         die_after_trials: None,
@@ -96,7 +89,6 @@ fn parse_args() -> Options {
                     .unwrap_or_else(|| usage_exit("--out needs a path"));
             }
             "--no-write" => opts.write = false,
-            "--skip-check" => opts.check = false,
             "--journal" => {
                 opts.journal = Some(
                     args.next()
@@ -128,7 +120,7 @@ fn parse_args() -> Options {
 fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!(
-        "usage: slo [--smoke | --full] [--out PATH] [--no-write] [--skip-check] \
+        "usage: slo [--smoke | --full] [--out PATH] [--no-write] \
          [--journal PATH [--resume] [--die-after-trials N]]"
     );
     std::process::exit(2);
@@ -221,8 +213,8 @@ struct Ctx {
     serve: ServeParams,
 }
 
-/// Runs one serial trial and enforces the conservation ledger.
-fn run_trial(spec: &SearchSpec, rate: u64, ctx: &Ctx, threads: usize) -> ServeReport {
+/// Runs one trial and enforces the conservation ledger.
+fn run_trial(spec: &SearchSpec, rate: u64, ctx: &Ctx) -> ServeReport {
     let profile = profiles::by_name(WORKLOAD).expect("known workload");
     let report = run_serve(
         profile,
@@ -233,7 +225,6 @@ fn run_trial(spec: &SearchSpec, rate: u64, ctx: &Ctx, threads: usize) -> ServeRe
         spec.arrival,
         rate,
         None,
-        &ShardParams::with_threads(threads),
     )
     .expect("serving trial");
     assert!(
@@ -244,27 +235,6 @@ fn run_trial(spec: &SearchSpec, rate: u64, ctx: &Ctx, threads: usize) -> ServeRe
         report.stats.ledger
     );
     report
-}
-
-/// The serial-vs-sharded byte-identity gate: one trial per scheme, re-run
-/// at each thread count, full serving-plane digest compared.
-fn sharded_gate(kinds: &[SchemeKind], ctx: &Ctx, rate: u64, threads: &[usize]) {
-    let arrival = arrivals::by_name("bursty").expect("known arrival profile");
-    for &scheme in kinds {
-        let spec = SearchSpec { scheme, arrival };
-        let want = run_trial(&spec, rate, ctx, 1).digest();
-        for &n in threads {
-            let got = run_trial(&spec, rate, ctx, n).digest();
-            assert_eq!(
-                got,
-                want,
-                "{} on {}: sharded ({n} threads) serving digest diverged from serial",
-                scheme.label(),
-                arrival.name
-            );
-        }
-    }
-    println!("sharded gate: ok for all schemes (threads {threads:?}, byte-identical)");
 }
 
 /// Per-scheme recovery run: channel fail/repair faults at a moderate rate,
@@ -288,7 +258,6 @@ fn recovery_run(scheme: SchemeKind, ctx: &Ctx, rate: u64) -> ServeReport {
         arrival,
         rate,
         Some(&faults),
-        &ShardParams::with_threads(1),
     )
     .expect("recovery trial");
     assert!(
@@ -412,7 +381,7 @@ fn main() {
         }
         while !aimd.done() {
             let rate = aimd.rate();
-            let report = run_trial(spec, rate, &ctx, 1);
+            let report = run_trial(spec, rate, &ctx);
             let met = report.slo_met(&serve, MIN_GOODPUT);
             let rec = TrialRecord {
                 search: si,
@@ -513,11 +482,6 @@ fn main() {
     }
 
     println!("slo: aggregate={:016x}", aggregate_digest(&summaries));
-
-    if opts.check {
-        let threads: &[usize] = if opts.smoke { &[2] } else { &[2, 4] };
-        sharded_gate(&kinds, &ctx, aimd_params.start_rate, threads);
-    }
 
     if opts.write {
         let mut out = String::new();

@@ -14,7 +14,7 @@
 //!
 //! Each scheme gets a fixed access budget spread evenly over the Table III
 //! workload profiles. The binary also times the `scheme_shootout` grid
-//! (serial vs sharded-parallel) so whole-grid speed is tracked alongside
+//! (serial vs the parallel grid runner) so whole-grid speed is tracked alongside
 //! per-access speed. Results land in `results/BENCH_throughput.json`.
 //!
 //! The scheme-only layer is measured twice: access-at-a-time through
@@ -205,8 +205,8 @@ fn scheme_only_rate(
 
 /// Accesses/sec for one scheme with the stream driven through
 /// `MemoryScheme::access_batch` in chunks of `batch` accesses — the hot
-/// path the sharded consumer and figure harnesses can amortize virtual
-/// dispatch and outcome bookkeeping over.
+/// path the figure harnesses can amortize virtual dispatch and outcome
+/// bookkeeping over.
 fn scheme_only_batched_rate(
     kind: SchemeKind,
     streams: &[(silcfm_types::AddressSpace, Vec<Access>)],
@@ -469,7 +469,7 @@ struct Overhead {
     sampled: Vec<(u64, f64)>,
 }
 
-/// Times the `scheme_shootout` grid serially and through the sharded pool.
+/// Times the `scheme_shootout` grid serially and through the parallel pool.
 fn grid_times() -> (usize, usize, f64, f64) {
     let threads = silcfm_sim::runner::default_threads();
     let workload = profiles::by_name("lib").unwrap();

@@ -17,9 +17,9 @@
 //!   bytes breaks bit-reproducibility.
 //! * **F1** — unordered float reductions (`.sum()`, `.product()`,
 //!   `.fold()`) inside merge/aggregation functions reachable from the
-//!   sharded or parallel-grid entry points. Float addition does not
-//!   associate, so a reduction whose operand order is not pinned can
-//!   differ between serial and sharded runs.
+//!   parallel-grid entry points. Float addition does not associate, so a
+//!   reduction whose operand order is not pinned can differ between serial
+//!   and parallel grids.
 //!
 //! All passes skip `#[cfg(test)]` functions and files under
 //! `tests/`/`examples/`/`benches/`: the contracts bind shipped simulator
@@ -619,7 +619,7 @@ fn float_merge_pass(ws: &Workspace, graph: &CallGraph, findings: &mut Vec<Findin
                     line: t.line,
                     message: format!(
                         "float `.{}(` reduction in merge/aggregation fn `{}` on a \
-                         sharded/parallel path: float addition does not associate, so \
+                         parallel path: float addition does not associate, so \
                          operand order must be pinned",
                         t.text,
                         ws.qualified_name(id)
@@ -823,10 +823,10 @@ mod tests {
     }
 
     #[test]
-    fn f1_flags_float_reductions_on_the_sharded_path() {
+    fn f1_flags_float_reductions_on_the_parallel_path() {
         let findings = lint(&[(
-            "crates/sim/src/shard.rs",
-            "pub fn run_system_sharded(xs: &[f64]) -> f64 { merge_deltas(xs) }\n\
+            "crates/sim/src/runner.rs",
+            "pub fn run_grid_totals(xs: &[f64]) -> f64 { merge_deltas(xs) }\n\
              fn merge_deltas(xs: &[f64]) -> f64 {\n\
                  let total: f64 = xs.iter().sum();\n\
                  total\n\
@@ -834,18 +834,18 @@ mod tests {
         )]);
         assert_eq!(
             spots(&findings, "F1"),
-            vec![("crates/sim/src/shard.rs", 3)],
+            vec![("crates/sim/src/runner.rs", 3)],
             "{findings:#?}"
         );
         assert!(
-            findings[0].chain[0].contains("run_system_sharded"),
+            findings[0].chain[0].contains("run_grid_totals"),
             "{:?}",
             findings[0].chain
         );
         // Integer reductions in the same shape are fine.
         let findings = lint(&[(
-            "crates/sim/src/shard.rs",
-            "pub fn run_system_sharded(xs: &[u64]) -> u64 { merge_deltas(xs) }\n\
+            "crates/sim/src/runner.rs",
+            "pub fn run_grid_totals(xs: &[u64]) -> u64 { merge_deltas(xs) }\n\
              fn merge_deltas(xs: &[u64]) -> u64 {\n\
                  let total: u64 = xs.iter().sum();\n\
                  total\n\

@@ -90,14 +90,6 @@ pub const HOT_PATH_SEEDS: &[interproc::Seed] = &[
         ty: "System",
         prefix: "run",
     },
-    // The sharded feed's per-record handoff. Producer side runs in spawned
-    // closures and the consumer side is reached through an enum-variant
-    // destructure, both of which the call-graph resolver drops — so the
-    // queue's per-record operations are declared hot directly.
-    interproc::Seed::TypeMethods {
-        ty: "LaneQueue",
-        methods: &["push", "pop"],
-    },
     // The serving plane's per-service completion tap (dispatch side) and
     // per-record admitted-stream pull (admission side): both run once per
     // serviced record inside the run loop, so they are hot-path seeds in
@@ -137,7 +129,7 @@ pub const ORDER_SINK_FNS: &[&str] = &["merge", "digest", "grid_digest"];
 /// Order-sensitive sink *files* (N1): every fn in them serializes or
 /// folds — crash-journal encoding, the export formatters, and the
 /// quantile sketches (whose merges must be order-invariant to the byte
-/// for the sharded/journaled percentile plane, DESIGN.md §14).
+/// for the grid/journaled percentile plane, DESIGN.md §14).
 pub const ORDER_SINK_FILES: &[&str] = &[
     "crates/sim/src/journal.rs",
     "crates/serve/src/journal.rs",
@@ -145,18 +137,17 @@ pub const ORDER_SINK_FILES: &[&str] = &[
     "crates/obs/src/sketch.rs",
 ];
 
-/// Entry points of sharded/parallel execution (F1 seeds), by fn-name
-/// prefix.
-pub const PARALLEL_SEED_PREFIXES: &[&str] = &["run_grid", "run_system_sharded"];
+/// Entry points of parallel execution (F1 seeds), by fn-name prefix.
+pub const PARALLEL_SEED_PREFIXES: &[&str] = &["run_grid"];
 
 /// Name markers of merge/aggregation fns F1 inspects.
 pub const MERGE_FN_MARKERS: &[&str] = &["merge", "aggregate", "reduce", "accumulate"];
 
 /// The only modules allowed to spawn threads, pass channels, or touch
-/// atomics/locks (T1): the epoch-barrier shard runner and the grid runner.
-/// Concurrency anywhere else bypasses the deterministic-merge protocol.
-pub const SANCTIONED_CONCURRENCY: &[&str] =
-    &["crates/sim/src/shard.rs", "crates/sim/src/runner.rs"];
+/// atomics/locks (T1): the grid runner, whose jobs are hermetic and whose
+/// outputs are reassembled in job order. Concurrency anywhere else — inside
+/// a simulation above all — bypasses that protocol.
+pub const SANCTIONED_CONCURRENCY: &[&str] = &["crates/sim/src/runner.rs"];
 
 /// Lints one Rust source under its logical workspace path: the full
 /// pipeline (token rules + call-graph rules) over a single-file workspace,

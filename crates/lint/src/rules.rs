@@ -79,15 +79,15 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "F1" => {
             "F1 (determinism, interprocedural): float addition is not associative, \
              so an unordered f32/f64 sum/product/fold in a merge/aggregate fn \
-             reachable from the sharded or grid runners makes parallel results \
-             differ from serial. Fix the reduction order (sort, or fold shard \
-             results in shard-index order) or accumulate in integers."
+             reachable from the grid runners makes parallel results differ \
+             from serial. Fix the reduction order (sort, or fold job results \
+             in job-index order) or accumulate in integers."
         }
         "T1" => {
             "T1 (determinism): threads, channels, atomics and locks are allowed \
-             only in the sanctioned modules (the epoch-barrier shard runner and \
-             the grid runner), which own the deterministic-merge protocol. \
-             Concurrency anywhere else bypasses that protocol."
+             only in the sanctioned module (the grid runner, \
+             crates/sim/src/runner.rs), which owns the deterministic-merge \
+             protocol. Concurrency anywhere else bypasses that protocol."
         }
         "S1" => {
             "S1 (stats): every stat key a sink emits must be registered in \
@@ -254,18 +254,18 @@ pub fn collect_series_keys(lexed: &Lexed) -> Vec<(String, usize)> {
 const SYNC_PRIMITIVES: &[&str] = &["Mutex", "RwLock", "Condvar", "Barrier", "OnceLock"];
 
 /// T1: thread spawns, channels, atomics and locks outside the sanctioned
-/// concurrency modules (see [`crate::SANCTIONED_CONCURRENCY`]). The shard
-/// and grid runners own *all* parallelism so the epoch-barrier merge can
-/// guarantee bit-identical serial/parallel results; a rogue thread or a
-/// shared atomic anywhere else reintroduces scheduling-order dependence.
+/// concurrency modules (see [`crate::SANCTIONED_CONCURRENCY`]). The grid
+/// runner owns *all* parallelism so its job-order reassembly can guarantee
+/// bit-identical serial/parallel results; a rogue thread or a shared atomic
+/// anywhere else reintroduces scheduling-order dependence.
 fn lint_concurrency(
     path: &str,
     toks: &[Token],
     findings: &mut Vec<Finding>,
     in_test: &dyn Fn(usize) -> bool,
 ) {
-    let hint = "route parallelism through the shard/grid runners (crates/sim/src/shard.rs, \
-                runner.rs) so the deterministic merge protocol sees it";
+    let hint = "route parallelism through the grid runner (crates/sim/src/runner.rs) so the \
+                deterministic merge protocol sees it";
     for i in 0..toks.len() {
         let t = &toks[i];
         if t.kind != TokenKind::Ident || in_test(t.line) {
@@ -596,8 +596,10 @@ mod tests {
     #[test]
     fn t1_spares_the_sanctioned_modules_and_tests() {
         let src = "fn f() { let h = thread::spawn(|| 1); let _ = h; }\n";
-        assert!(rules_of("crates/sim/src/shard.rs", src).is_empty());
         assert!(rules_of("crates/sim/src/runner.rs", src).is_empty());
+        // A single simulation never spawns threads: only the grid runner is
+        // sanctioned, not its neighbours in the simulator crate.
+        assert_eq!(rules_of("crates/sim/src/system.rs", src), vec![("T1", 1)]);
         assert!(rules_of("crates/bench/src/main.rs", src).is_empty());
         assert!(rules_of("crates/sim/tests/stress.rs", src).is_empty());
         let in_test = "#[cfg(test)]\n\

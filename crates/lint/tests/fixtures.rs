@@ -230,7 +230,7 @@ fn f1_fires_suppresses_and_ignores_integer_reductions() {
     assert_eq!(spots(&findings, "F1"), vec![7], "{findings:#?}");
     assert_eq!(suppressed, 0);
     let chain = &findings[0].chain;
-    assert!(chain[0].contains("run_system_sharded"), "{chain:?}");
+    assert!(chain[0].contains("run_grid_totals"), "{chain:?}");
     assert!(chain[1].contains("merge_deltas"), "{chain:?}");
 
     let (findings, suppressed) = lint_rust_source(COLD, include_str!("fixtures/f1_suppressed.rs"));
@@ -251,11 +251,12 @@ fn t1_fires_suppresses_and_spares_the_sanctioned_modules() {
     assert!(findings.is_empty(), "{findings:#?}");
     assert_eq!(suppressed, 4, "both imports and both construction sites");
 
-    // The sharding runtime is allowed to use real concurrency.
-    for sanctioned in ["crates/sim/src/shard.rs", "crates/sim/src/runner.rs"] {
-        let (findings, _) = lint_rust_source(sanctioned, include_str!("fixtures/t1_bad.rs"));
-        assert!(findings.is_empty(), "{sanctioned}: {findings:#?}");
-    }
+    // The grid runner is allowed to use real concurrency.
+    let (findings, _) = lint_rust_source(
+        "crates/sim/src/runner.rs",
+        include_str!("fixtures/t1_bad.rs"),
+    );
+    assert!(findings.is_empty(), "{findings:#?}");
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! F1 fixture: unordered float reduction on the sharded merge path.
-pub fn run_system_sharded(xs: &[f64]) -> f64 {
+//! F1 fixture: unordered float reduction on the parallel grid merge path.
+pub fn run_grid_totals(xs: &[f64]) -> f64 {
     merge_deltas(xs)
 }
 

@@ -1,6 +1,6 @@
 //! F1 fixture, clean variant: integer units until the final report, so
 //! the reduction associates.
-pub fn run_system_sharded(xs: &[u64]) -> u64 {
+pub fn run_grid_totals(xs: &[u64]) -> u64 {
     merge_deltas(xs)
 }
 

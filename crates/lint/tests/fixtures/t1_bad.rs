@@ -1,4 +1,4 @@
-//! T1 fixture: ad-hoc concurrency outside the sanctioned shard modules.
+//! T1 fixture: ad-hoc concurrency outside the sanctioned grid runner.
 use std::sync::atomic::AtomicU64;
 use std::sync::mpsc;
 use std::sync::Mutex;

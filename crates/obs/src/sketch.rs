@@ -14,8 +14,8 @@
 //!   wall clock, no allocation.
 //! * **[`merge`](QuantileSketch::merge)** is pointwise wrapping addition of
 //!   counters plus min/max folds: commutative and associative, so any
-//!   permutation of partial sketches — `(epoch, lane)` shard folds,
-//!   grid-job aggregation, journal resume — produces byte-identical state
+//!   permutation of partial sketches — grid-job aggregation in completion
+//!   order, journal resume — produces byte-identical state
 //!   and therefore byte-identical reports (lint N1/F1 hold by
 //!   construction).
 //! * **[`encode`](QuantileSketch::encode)/[`decode`](QuantileSketch::decode)**

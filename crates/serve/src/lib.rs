@@ -11,8 +11,8 @@
 //!   bursty / diurnal request schedules in the cycle domain;
 //! * **admission** ([`plan`]) sheds requests whose predicted queueing
 //!   would blow their deadline — decided entirely in the arrival domain,
-//!   so admitted streams stay pure functions of their seeds and the
-//!   serial/sharded byte-identity contract survives;
+//!   so admitted streams stay pure functions of their seeds and every
+//!   trial is reproducible byte for byte;
 //! * **tracking** ([`tracker`]) groups serviced records back into
 //!   requests via the engine's [`silcfm_sim::ServiceTap`], resolves
 //!   channel-NACKed requests through a cycle-domain exponential-backoff
@@ -29,7 +29,7 @@
 //!
 //! ```
 //! use silcfm_serve::{run_serve, ServeParams};
-//! use silcfm_sim::{RunParams, SchemeKind, ShardParams};
+//! use silcfm_sim::{RunParams, SchemeKind};
 //! use silcfm_trace::{arrivals, profiles};
 //! use silcfm_types::SystemConfig;
 //!
@@ -44,7 +44,6 @@
 //!     arrival,
 //!     8,
 //!     None,
-//!     &ShardParams::with_threads(1),
 //! )
 //! .unwrap();
 //! assert!(report.stats.ledger.conserved());

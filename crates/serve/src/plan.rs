@@ -3,9 +3,10 @@
 //!
 //! The central determinism problem of an open-loop plane is that admission
 //! decisions must not depend on engine state — if shedding consulted the
-//! live simulation, the admitted stream would differ between the serial
-//! and sharded runners (producers pre-generate records epochs ahead of the
-//! consumer) and byte-identity would be unprovable. The resolution: the
+//! live simulation, the admitted stream would depend on how far ahead of
+//! the run loop each lane's records were generated (the feed pulls them in
+//! chunks), and a trial would no longer be a pure function of its inputs.
+//! The resolution: the
 //! admission controller runs entirely in the *arrival domain*, against a
 //! predicted backlog. Each lane's plan — which requests are admitted, which
 //! are shed — is a pure function of `(workload profile, arrival profile,
@@ -164,9 +165,8 @@ impl RecordStream for ServeLaneGen {
 }
 
 /// A [`LaneSource`] over a set of per-lane plans: `stream(lane)` is a pure
-/// function of the construction inputs (the sharded producers and the
-/// inline serial path build identical streams), which is what makes the
-/// serial-vs-sharded byte-identity gate provable for the serving plane.
+/// function of the construction inputs, which is what makes a serving
+/// trial reproducible byte for byte.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeSource<'a> {
     profile: &'a WorkloadProfile,

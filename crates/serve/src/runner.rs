@@ -6,12 +6,10 @@
 //! record stream is planned before the engine starts, the tracker is a
 //! pure observer, and retries resolve against the schedule-derived failure
 //! timeline. Consequently the whole [`ServeReport`] (ledger, sketch, epoch
-//! series) is byte-identical between the serial path (`threads <= 1`) and
-//! any sharded thread count — the gate the `slo` bench enforces.
+//! series) is reproducible byte for byte, which the golden digest pins.
 
 use silcfm_fault::{FaultDriver, FaultSchedule, FaultStats};
-use silcfm_sim::{run_system_sharded_tapped, FaultParams, RunParams, SchemeKind, ShardParams};
-use silcfm_sim::{ShardReport, System};
+use silcfm_sim::{FaultParams, RunParams, SchemeKind, StreamFeed, System};
 use silcfm_trace::arrivals::ArrivalProfile;
 use silcfm_trace::{profiles, WorkloadProfile};
 use silcfm_types::{SchemeStats, SilcFmError, SystemConfig};
@@ -41,8 +39,6 @@ pub struct ServeReport {
     pub faults_delivered: usize,
     /// End-of-run scheme statistics.
     pub scheme_stats: SchemeStats,
-    /// Producer threads the sharded runner actually spawned.
-    pub producer_threads: usize,
 }
 
 impl ServeReport {
@@ -53,9 +49,8 @@ impl ServeReport {
         self.stats.p99() <= serve.slo_p99_cycles && self.stats.ledger.goodput() >= min_goodput
     }
 
-    /// Deterministic rendering of the trial's serving-plane state; string
-    /// equality between a serial and a sharded trial is the byte-identity
-    /// gate.
+    /// Deterministic rendering of the trial's serving-plane state; the
+    /// golden test pins its hash.
     pub fn digest(&self) -> String {
         format!("cycles {}\n{}", self.cycles, self.stats.digest())
     }
@@ -78,8 +73,7 @@ pub fn plan_trial(
 /// Runs one serving trial: `rate_per_m` requests per million cycles per
 /// lane, shaped by `arrival`, against `scheme`. `faults: Some(..)` arms the
 /// engine's fault driver *and* the retry ladder's failure timeline from the
-/// same schedule. `shard.threads <= 1` is the serial engine; any higher
-/// count must produce a byte-identical report.
+/// same schedule.
 ///
 /// # Errors
 ///
@@ -95,7 +89,6 @@ pub fn run_serve(
     arrival: &ArrivalProfile,
     rate_per_m: u64,
     faults: Option<&FaultParams>,
-    shard: &ShardParams,
 ) -> Result<ServeReport, SilcFmError> {
     let scaled = profiles::scaled(profile, params.footprint_scale);
     let space = silcfm_sim::experiment::space_for(&scaled, cfg, params);
@@ -132,13 +125,8 @@ pub fn run_serve(
 
     let mut tracker = RequestTracker::new(&plans, serve, timeline);
     let source = ServeSource::new(&scaled, &plans, serve, params.seed);
-    let (outcome, shard_report): (_, ShardReport) = run_system_sharded_tapped(
-        &mut system,
-        &source,
-        params.accesses_per_core,
-        shard,
-        &mut tracker,
-    );
+    let mut feed = StreamFeed::new(&source, usize::from(cfg.core.cores));
+    let outcome = system.run_with_feed_tapped(&mut feed, params.accesses_per_core, &mut tracker);
 
     let faults_delivered = scheduled - system.faults_remaining();
     Ok(ServeReport {
@@ -151,7 +139,6 @@ pub fn run_serve(
         fault_stats: *system.fault_stats(),
         faults_delivered,
         scheme_stats: system.scheme().stats(),
-        producer_threads: shard_report.producer_threads,
     })
 }
 
@@ -190,7 +177,6 @@ mod tests {
             arrival,
             10,
             None,
-            &ShardParams::with_threads(1),
         )
         .unwrap();
         assert!(r.stats.ledger.conserved(), "{:?}", r.stats.ledger);
@@ -198,37 +184,6 @@ mod tests {
         assert!(r.stats.ledger.completed > 0);
         assert!(r.cycles > 0);
         assert_eq!(r.fault_stats.injected, 0);
-        assert_eq!(r.producer_threads, 0);
-    }
-
-    #[test]
-    fn sharded_trials_are_byte_identical_to_serial() {
-        let (profile, cfg, params, serve) = base();
-        let arrival = arrivals::by_name("bursty").unwrap();
-        let run_at = |threads| {
-            run_serve(
-                profile,
-                SchemeKind::silcfm(),
-                &cfg,
-                &params,
-                &serve,
-                arrival,
-                12,
-                None,
-                &ShardParams::with_threads(threads),
-            )
-            .unwrap()
-        };
-        let serial = run_at(1);
-        for threads in [2usize, 4] {
-            let sharded = run_at(threads);
-            assert_eq!(
-                serial.digest(),
-                sharded.digest(),
-                "threads={threads} must match serial byte for byte"
-            );
-            assert!(sharded.stats.ledger.conserved());
-        }
     }
 
     #[test]
@@ -249,7 +204,6 @@ mod tests {
             arrival,
             10,
             Some(&faults),
-            &ShardParams::with_threads(1),
         )
         .unwrap();
         assert!(r.stats.ledger.conserved(), "{:?}", r.stats.ledger);

@@ -19,8 +19,8 @@
 //! succeeds iff every affected device shows no failed channel at the
 //! attempt cycle (the [`FailureTimeline`] derived from the schedule). This
 //! keeps the tap a pure observer — retry traffic never re-enters the
-//! engine, so the admitted record stream (and with it the sharded
-//! byte-identity proof) is untouched.
+//! engine, so the admitted record stream (and with it the trial's
+//! byte-for-byte reproducibility) is untouched.
 
 use silcfm_obs::sampler::{slo_series, EpochSampler};
 use silcfm_obs::QuantileSketch;
@@ -309,7 +309,7 @@ impl ServeRunStats {
 
     /// Encodes the run's observable state into a deterministic string:
     /// the ledger, the latency sketch, and every epoch row bit-exactly.
-    /// String equality is the serial-vs-sharded byte-identity gate.
+    /// String equality is the byte-identity check the golden test pins.
     pub fn digest(&self) -> String {
         let l = &self.ledger;
         let mut out = format!(

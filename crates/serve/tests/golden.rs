@@ -1,6 +1,6 @@
 //! Golden pin of the request-plane digest: one fixed serving trial, its
 //! full digest string (ledger + latency sketch + epoch series) hashed and
-//! compared against a committed literal, serial and sharded alike.
+//! compared against a committed literal.
 //!
 //! If this test fails, either the engine's timing, the arrival generator,
 //! the admission model, or the tracker changed behavior — all of which
@@ -10,15 +10,16 @@
 use std::hash::Hasher as _;
 
 use silcfm_serve::{run_serve, ServeParams};
-use silcfm_sim::{RunParams, SchemeKind, ShardParams};
+use silcfm_sim::{RunParams, SchemeKind};
 use silcfm_trace::{arrivals, profiles};
 use silcfm_types::{FxHasher, SystemConfig};
 
-/// FxHash of the serial trial's digest string at the pinned configuration.
+/// FxHash of the trial's digest string at the pinned configuration.
 const GOLDEN_DIGEST_HASH: u64 = 0x2968_0976_fd52_7675;
 
-fn digest_at(threads: usize) -> String {
-    run_serve(
+#[test]
+fn request_plane_digest_is_pinned() {
+    let digest = run_serve(
         profiles::by_name("mcf").unwrap(),
         SchemeKind::silcfm(),
         &SystemConfig::small(),
@@ -27,28 +28,15 @@ fn digest_at(threads: usize) -> String {
         arrivals::by_name("bursty").unwrap(),
         35,
         None,
-        &ShardParams::with_threads(threads),
     )
     .unwrap()
-    .digest()
-}
-
-#[test]
-fn request_plane_digest_is_pinned_serial_and_sharded() {
-    let serial = digest_at(1);
+    .digest();
     let mut h = FxHasher::default();
-    h.write(serial.as_bytes());
+    h.write(digest.as_bytes());
     let got = h.finish();
     assert_eq!(
         got, GOLDEN_DIGEST_HASH,
         "request-plane digest drifted: update GOLDEN_DIGEST_HASH to {got:#018x} \
          only if the behavior change is intentional"
     );
-    for threads in [2usize, 4] {
-        assert_eq!(
-            digest_at(threads),
-            serial,
-            "threads={threads} diverged from the pinned serial digest"
-        );
-    }
 }

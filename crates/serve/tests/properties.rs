@@ -1,13 +1,12 @@
-//! Property tests for the serving plane: thread-invariance of the full
-//! request-plane digest, ledger conservation under randomized fault
-//! schedules, the retry ladder's budget/deadline bounds, and AIMD
+//! Property tests for the serving plane: ledger conservation under
+//! randomized fault schedules, the retry ladder's budget/deadline bounds, and AIMD
 //! convergence onto randomized capacity cliffs.
 
 use silcfm_fault::FaultRates;
 use silcfm_serve::{
     classify_retry, run_serve, Aimd, AimdParams, Disposition, FailureTimeline, ServeParams,
 };
-use silcfm_sim::{FaultParams, RunParams, SchemeKind, ShardParams};
+use silcfm_sim::{FaultParams, RunParams, SchemeKind};
 use silcfm_trace::{arrivals, profiles};
 use silcfm_types::fault::{ChannelFault, FaultKind, ScheduledFault};
 use silcfm_types::rng::{Rng, SplitMix64, Xoshiro256StarStar};
@@ -20,12 +19,10 @@ fn serve_params() -> ServeParams {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_once(
     workload: &str,
     arrival: &str,
     rate: u64,
-    threads: usize,
     faults: Option<&FaultParams>,
 ) -> silcfm_serve::ServeReport {
     run_serve(
@@ -37,45 +34,8 @@ fn run_once(
         arrivals::by_name(arrival).unwrap(),
         rate,
         faults,
-        &ShardParams::with_threads(threads),
     )
     .unwrap()
-}
-
-/// The full serving-plane digest — ledger, latency sketch, epoch series —
-/// must be a pure function of the trial's inputs, independent of the
-/// engine's thread count, for every arrival shape. Faults included: fault
-/// delivery happens on the consumer, so arming the driver must not break
-/// the identity either.
-#[test]
-fn request_plane_digest_is_thread_invariant() {
-    for (workload, arrival, rate) in [("lib", "diurnal", 25), ("mcf", "poisson", 40)] {
-        let serial = run_once(workload, arrival, rate, 1, None);
-        for threads in [2usize, 4] {
-            let sharded = run_once(workload, arrival, rate, threads, None);
-            assert_eq!(
-                serial.digest(),
-                sharded.digest(),
-                "{workload}/{arrival} threads={threads} diverged from serial"
-            );
-        }
-    }
-
-    let faults = FaultParams {
-        fault_seed: 7,
-        horizon_cycles: 3_000_000,
-        rates: FaultRates::harsh(),
-    };
-    let serial = run_once("milc", "bursty", 30, 1, Some(&faults));
-    assert!(serial.faults_delivered > 0);
-    for threads in [2usize, 4] {
-        let sharded = run_once("milc", "bursty", 30, threads, Some(&faults));
-        assert_eq!(
-            serial.digest(),
-            sharded.digest(),
-            "faulted trial threads={threads} diverged from serial"
-        );
-    }
 }
 
 /// `offered = completed + shed + timed_out + failed` on every run, for
@@ -99,7 +59,7 @@ fn ledger_conserves_under_random_fault_schedules() {
                 FaultRates::harsh()
             },
         };
-        let r = run_once(workload, arrival, rate, 1, Some(&faults));
+        let r = run_once(workload, arrival, rate, Some(&faults));
         assert!(
             r.stats.ledger.conserved(),
             "round {round} ({workload}/{arrival} rate={rate}): ledger leaks: {:?}",

@@ -12,7 +12,6 @@ use silcfm_types::{AddressSpace, Geometry, MemoryScheme, SilcFmError, SystemConf
 
 use crate::metrics::RunResult;
 use crate::observe::RunObs;
-use crate::shard::{run_system_sharded, ShardParams, ShardReport};
 use crate::system::{System, SystemOutcome};
 
 /// Which placement scheme to simulate.
@@ -633,112 +632,6 @@ pub fn run_faulted_traced(
         .finish_observation(outcome.cycles)
         .ok_or_else(|| SilcFmError::experiment("traced run lost its observability state"))?;
     Ok((result, fault_stats, report))
-}
-
-/// [`run`] with the simulation itself sharded across threads: workload
-/// generation on producer threads, the shared-state commit loop on the
-/// calling thread, lane deltas merged at epoch barriers (DESIGN.md §11).
-/// The [`RunResult`] is bit-identical to [`run`]'s at any
-/// [`ShardParams::threads`].
-pub fn run_sharded(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    shard: &ShardParams,
-) -> (RunResult, ShardReport) {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let mut system = System::new(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build(space, total_accesses),
-    );
-    let (outcome, report) = run_system_sharded(
-        &mut system,
-        &scaled,
-        params.accesses_per_core,
-        params.seed,
-        shard,
-    );
-    (collect(profile, scheme, &system, outcome), report)
-}
-
-/// [`run_traced`] on the sharded runner: full observability, bit-identical
-/// results and exports at any thread count (tracing rides the consumer
-/// thread, which commits all shared state serially).
-pub fn run_sharded_traced(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    trace: &TraceParams,
-    shard: &ShardParams,
-) -> (RunResult, ObsReport, ShardReport) {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let expected_cycles = params.accesses_per_core.saturating_mul(64);
-    let mut system = System::with_observability(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build_traced(space, total_accesses, trace.events_capacity),
-        RingTracer::with_capacity(trace.events_capacity),
-        RingTracer::with_capacity(trace.events_capacity),
-        Some(RunObs::new(trace.epoch_cycles, expected_cycles)),
-    );
-    let (outcome, shard_report) = run_system_sharded(
-        &mut system,
-        &scaled,
-        params.accesses_per_core,
-        params.seed,
-        shard,
-    );
-    let result = collect(profile, scheme, &system, outcome);
-    let report = system
-        .finish_observation(outcome.cycles)
-        // silcfm-lint: allow(E1) -- with_observability above always installs RunObs; the invariant is local
-        .expect("the system above is always built with observability");
-    (result, report, shard_report)
-}
-
-/// [`run_faulted`] on the sharded runner: the fault schedule is delivered
-/// on the consumer thread in the same cycle order as the serial path, so
-/// the ledger — which still satisfies `conserved()` — is bit-identical.
-///
-/// # Errors
-///
-/// Returns [`SilcFmError::FaultConfig`] when `faults` is invalid.
-pub fn run_sharded_faulted(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    faults: &FaultParams,
-    shard: &ShardParams,
-) -> Result<(RunResult, FaultStats, ShardReport), SilcFmError> {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let mut system = System::new(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build(space, total_accesses),
-    );
-    system.set_fault_driver(faults.driver_for(&scheme, space)?);
-    let (outcome, report) = run_system_sharded(
-        &mut system,
-        &scaled,
-        params.accesses_per_core,
-        params.seed,
-        shard,
-    );
-    let result = collect(profile, scheme, &system, outcome);
-    Ok((result, *system.fault_stats(), report))
 }
 
 #[cfg(test)]

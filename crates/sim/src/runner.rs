@@ -1,4 +1,4 @@
-//! Sharded parallel execution of experiment grids.
+//! Parallel execution of experiment grids.
 //!
 //! Every figure harness runs the same shape of computation: a grid of
 //! (workload profile × scheme × configuration point) simulations, each
@@ -10,7 +10,8 @@
 //!   seed), so execution order cannot leak into results;
 //! * per-job seeds are derived deterministically from a base seed and the
 //!   job's grid index via [`SplitMix64`](silcfm_types::rng::SplitMix64), so
-//!   regridding or resharding never changes any individual run;
+//!   regridding or changing the thread count never changes any individual
+//!   run;
 //! * workers tag each result with its job index and the pool reassembles
 //!   them in index order, so aggregate output is a pure function of the grid.
 //!
@@ -46,10 +47,9 @@ use silcfm_types::{SilcFmError, SystemConfig};
 
 use silcfm_obs::{LatencyBreakdown, ObsReport};
 
-use crate::experiment::{run, run_sharded, run_traced, RunParams, SchemeKind, TraceParams};
+use crate::experiment::{run, run_traced, RunParams, SchemeKind, TraceParams};
 use crate::journal;
 use crate::metrics::RunResult;
-use crate::shard::ShardParams;
 
 /// One self-contained simulation: everything [`run`] needs, by value, so the
 /// job can execute on any worker in any order.
@@ -71,14 +71,6 @@ impl Job {
     /// outputs comparable bit for bit.
     pub fn execute(&self) -> RunResult {
         run(&self.profile, self.scheme, &self.cfg, &self.params)
-    }
-
-    /// Executes the job on the sharded runner: `shard.threads` threads
-    /// *inside* this one simulation (DESIGN.md §11). The result is
-    /// bit-identical to [`Job::execute`] at any thread count, so sharded
-    /// and serial grids — and their journals — interoperate freely.
-    pub fn execute_sharded(&self, shard: &ShardParams) -> RunResult {
-        run_sharded(&self.profile, self.scheme, &self.cfg, &self.params, shard).0
     }
 }
 
@@ -140,7 +132,8 @@ impl ExperimentGrid {
     /// Derives a decorrelated per-job seed from the base seed and each job's
     /// grid index. Without this, every cell of a sweep reuses one seed and a
     /// lucky placement can masquerade as a scheme effect; with it, reordering
-    /// or resharding the grid still reproduces every run exactly.
+    /// the grid or changing the thread count still reproduces every run
+    /// exactly.
     #[must_use]
     pub fn seed_per_job(mut self) -> Self {
         self.seeded = true;
@@ -172,7 +165,7 @@ impl ExperimentGrid {
 /// Number of worker threads to use by default: the `SILCFM_THREADS`
 /// environment variable if set, else the machine's available parallelism.
 pub fn default_threads() -> usize {
-    // silcfm-lint: allow(D2) -- explicit operator knob; thread count cannot change results (sharded runner is bit-identical at any width, see tests)
+    // silcfm-lint: allow(D2) -- explicit operator knob; thread count cannot change results (grid jobs are hermetic and reassembled in job order, see tests)
     std::env::var("SILCFM_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -190,9 +183,10 @@ pub fn run_grid_serial(jobs: &[Job]) -> Vec<RunResult> {
     jobs.iter().map(Job::execute).collect()
 }
 
-/// The work-stealing core shared by [`run_grid`] and [`run_grid_traced`]:
-/// runs `execute` over every job across `threads` workers and reassembles
-/// the outputs in job order.
+/// The work-stealing pool behind every grid runner: runs `execute` over
+/// the jobs indexed by `todo` across `threads` workers and hands each
+/// `(index, output)` to `sink` on the calling thread the moment its worker
+/// reports it (completion order, not job order).
 ///
 /// Jobs are dealt round-robin into per-worker deques. Each worker drains its
 /// own deque from the front and, when empty, steals from the *back* of the
@@ -201,28 +195,29 @@ pub fn run_grid_serial(jobs: &[Job]) -> Vec<RunResult> {
 /// baseline) therefore cannot serialize the tail of the grid behind one
 /// unlucky worker.
 ///
-/// Outputs are tagged with the job index and reassembled in order, so the
-/// result is bit-identical to a serial loop regardless of thread count,
-/// scheduling, or steal pattern.
-fn run_grid_with<R, F>(jobs: &[Job], threads: usize, execute: F) -> Vec<R>
+/// The first error from `sink` stops the pool: the serial path returns at
+/// once, and parallel workers stop after the job in hand.
+fn run_pool<R, E, F>(
+    jobs: &[Job],
+    todo: &[usize],
+    threads: usize,
+    execute: F,
+    mut sink: impl FnMut(usize, R) -> Result<(), E>,
+) -> Result<(), E>
 where
     R: Send,
     F: Fn(&Job) -> R + Sync,
 {
-    let threads = threads.max(1).min(jobs.len().max(1));
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs.iter().map(execute).collect();
+    let threads = threads.max(1).min(todo.len().max(1));
+    if threads <= 1 || todo.len() <= 1 {
+        for &i in todo {
+            sink(i, execute(&jobs[i]))?;
+        }
+        return Ok(());
     }
 
-    // Round-robin deal into per-worker deques.
     let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| {
-            Mutex::new(
-                (w..jobs.len())
-                    .step_by(threads)
-                    .collect::<VecDeque<usize>>(),
-            )
-        })
+        .map(|w| Mutex::new(todo.iter().copied().skip(w).step_by(threads).collect()))
         .collect();
     let queues = &queues;
     let execute = &execute;
@@ -231,31 +226,49 @@ where
     std::thread::scope(|scope| {
         for me in 0..threads {
             let tx = tx.clone();
-            scope.spawn(move || {
-                loop {
-                    // Own work first (front), then steal (back).
-                    let next = queues[me].lock().unwrap().pop_front().or_else(|| {
-                        (0..queues.len())
-                            .filter(|&w| w != me)
-                            .max_by_key(|&w| queues[w].lock().unwrap().len())
-                            .and_then(|w| queues[w].lock().unwrap().pop_back())
-                    });
-                    let Some(idx) = next else { break };
-                    let result = execute(&jobs[idx]);
-                    if tx.send((idx, result)).is_err() {
-                        break;
-                    }
+            scope.spawn(move || loop {
+                // Own work first (front), then steal (back).
+                let next = queues[me].lock().unwrap().pop_front().or_else(|| {
+                    (0..queues.len())
+                        .filter(|&w| w != me)
+                        .max_by_key(|&w| queues[w].lock().unwrap().len())
+                        .and_then(|w| queues[w].lock().unwrap().pop_back())
+                });
+                let Some(idx) = next else { break };
+                let result = execute(&jobs[idx]);
+                if tx.send((idx, result)).is_err() {
+                    break;
                 }
             });
         }
         drop(tx);
-    });
+        // Draining inside the scope delivers each output as its worker
+        // finishes; returning early drops `rx`, so every worker's next send
+        // fails and it stops.
+        for (idx, result) in rx {
+            sink(idx, result)?;
+        }
+        Ok(())
+    })
+}
 
+/// Runs `execute` over every job on the [`run_pool`] workers and
+/// reassembles the outputs in job order, so the result is bit-identical to
+/// a serial loop regardless of thread count, scheduling, or steal pattern.
+fn run_grid_with<R, F>(jobs: &[Job], threads: usize, execute: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&Job) -> R + Sync,
+{
+    let todo: Vec<usize> = (0..jobs.len()).collect();
     let mut slots: Vec<Option<R>> = Vec::new();
     slots.resize_with(jobs.len(), || None);
-    for (idx, result) in rx {
-        slots[idx] = Some(result);
-    }
+    let filled: Result<(), std::convert::Infallible> =
+        run_pool(jobs, &todo, threads, execute, |idx, result| {
+            slots[idx] = Some(result);
+            Ok(())
+        });
+    let Ok(()) = filled;
     slots
         .into_iter()
         .map(|r| r.expect("every job produces exactly one result"))
@@ -264,17 +277,9 @@ where
 
 /// Runs `jobs` across `threads` workers with work stealing and returns the
 /// results in job order, bit-identical to [`run_grid_serial`]; see
-/// [`run_grid_with`] for the scheduling details.
+/// [`run_pool`] for the scheduling details.
 pub fn run_grid(jobs: &[Job], threads: usize) -> Vec<RunResult> {
     run_grid_with(jobs, threads, Job::execute)
-}
-
-/// Runs `jobs` one at a time in grid order, with each simulation itself
-/// sharded across `shard.threads` threads. This is the shape a *single
-/// large run* wants — all threads inside the run rather than across runs —
-/// and it returns results bit-identical to [`run_grid_serial`].
-pub fn run_grid_sharded(jobs: &[Job], shard: &ShardParams) -> Vec<RunResult> {
-    jobs.iter().map(|j| j.execute_sharded(shard)).collect()
 }
 
 /// Runs `jobs` with a crash-safe journal at `path`: every finished job is
@@ -300,7 +305,24 @@ pub fn run_grid_journaled(
     resume: bool,
     on_done: impl FnMut(usize, &RunResult),
 ) -> Result<Vec<RunResult>, SilcFmError> {
-    run_grid_journaled_with(jobs, threads, path, resume, on_done, Job::execute)
+    let digest = journal::grid_digest(jobs);
+    let (writer, done) = if resume && path.exists() {
+        journal::resume(path, digest)?
+    } else {
+        (
+            journal::JournalWriter::create(path, digest)?,
+            std::collections::BTreeMap::new(),
+        )
+    };
+    run_grid_journaled_core(
+        jobs,
+        threads,
+        writer,
+        done,
+        on_done,
+        Job::execute,
+        |w, i, r| w.append(i, r),
+    )
 }
 
 /// Runs a *traced* grid with a crash-safe journal: each finished job
@@ -356,51 +378,6 @@ pub fn run_grid_traced_journaled(
     )
 }
 
-/// [`run_grid_journaled`] with every job executed on the sharded runner
-/// (`shard.threads` threads inside each simulation). Because sharded
-/// results are bit-identical to serial ones, the journal format and grid
-/// digest are shared: a grid journaled serially can be resumed sharded and
-/// vice versa, and the aggregate never changes.
-pub fn run_grid_journaled_sharded(
-    jobs: &[Job],
-    threads: usize,
-    path: &Path,
-    resume: bool,
-    shard: &ShardParams,
-    on_done: impl FnMut(usize, &RunResult),
-) -> Result<Vec<RunResult>, SilcFmError> {
-    run_grid_journaled_with(jobs, threads, path, resume, on_done, |job: &Job| {
-        job.execute_sharded(shard)
-    })
-}
-
-/// The crash-safe core behind [`run_grid_journaled`] and
-/// [`run_grid_journaled_sharded`], generic over how one job executes.
-fn run_grid_journaled_with<F>(
-    jobs: &[Job],
-    threads: usize,
-    path: &Path,
-    resume: bool,
-    on_done: impl FnMut(usize, &RunResult),
-    execute: F,
-) -> Result<Vec<RunResult>, SilcFmError>
-where
-    F: Fn(&Job) -> RunResult + Sync,
-{
-    let digest = journal::grid_digest(jobs);
-    let (writer, done) = if resume && path.exists() {
-        journal::resume(path, digest)?
-    } else {
-        (
-            journal::JournalWriter::create(path, digest)?,
-            std::collections::BTreeMap::new(),
-        )
-    };
-    run_grid_journaled_core(jobs, threads, writer, done, on_done, execute, |w, i, r| {
-        w.append(i, r)
-    })
-}
-
 /// The scheduling/journaling engine shared by the plain and traced
 /// journaled grids, generic over the per-job record `R`: executes missing
 /// jobs with deal/steal workers, appends each record through `append` the
@@ -429,68 +406,17 @@ where
     }
     let todo: Vec<usize> = (0..jobs.len()).filter(|&i| slots[i].is_none()).collect();
 
-    let threads = threads.max(1).min(todo.len().max(1));
-    if threads <= 1 || todo.len() <= 1 {
-        for &i in &todo {
-            let result = execute(&jobs[i]);
-            append(&mut writer, i, &result)?;
-            on_done(i, &result);
-            slots[i] = Some(result);
+    // Each record hits the journal as its worker finishes, not after the
+    // whole grid completes — a kill at any moment loses at most the jobs
+    // still in flight.
+    run_pool(jobs, &todo, threads, execute, |idx, result| {
+        append(&mut writer, idx, &result)?;
+        on_done(idx, &result);
+        if let Some(slot) = slots.get_mut(idx) {
+            *slot = Some(result);
         }
-    } else {
-        // Same deal/steal scheduling as `run_grid_with`, but the receiver
-        // drains *inside* the scope so records hit the journal as workers
-        // finish, not after the whole grid completes — a kill at any moment
-        // loses at most the jobs still in flight.
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-            .map(|w| {
-                Mutex::new(
-                    (w..todo.len())
-                        .step_by(threads)
-                        .map(|k| todo[k])
-                        .collect::<VecDeque<usize>>(),
-                )
-            })
-            .collect();
-        let queues = &queues;
-        let execute = &execute;
-
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
-        let mut append_error = None;
-        std::thread::scope(|scope| {
-            for me in 0..threads {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let next = queues[me].lock().unwrap().pop_front().or_else(|| {
-                        (0..queues.len())
-                            .filter(|&w| w != me)
-                            .max_by_key(|&w| queues[w].lock().unwrap().len())
-                            .and_then(|w| queues[w].lock().unwrap().pop_back())
-                    });
-                    let Some(idx) = next else { break };
-                    let result = execute(&jobs[idx]);
-                    if tx.send((idx, result)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            for (idx, result) in rx {
-                if append_error.is_none() {
-                    if let Err(e) = append(&mut writer, idx, &result) {
-                        append_error = Some(e);
-                    }
-                }
-                on_done(idx, &result);
-                if let Some(slot) = slots.get_mut(idx) {
-                    *slot = Some(result);
-                }
-            }
-        });
-        if let Some(e) = append_error {
-            return Err(e);
-        }
-    }
+        Ok::<(), SilcFmError>(())
+    })?;
 
     slots
         .into_iter()
@@ -633,55 +559,6 @@ mod tests {
         executed.sort_unstable();
         assert_eq!(executed, vec![3, 4, 5], "only the missing jobs run");
         assert_eq!(serial, resumed, "resumed aggregate is bit-identical");
-    }
-
-    #[test]
-    fn sharded_grid_matches_serial_bit_for_bit() {
-        let jobs = small_grid();
-        let serial = run_grid_serial(&jobs);
-        let sharded = run_grid_sharded(&jobs, &ShardParams::with_threads(2));
-        assert_eq!(serial, sharded);
-    }
-
-    #[test]
-    fn journal_written_serially_resumes_sharded_and_vice_versa() {
-        let jobs = small_grid();
-        let serial = run_grid_serial(&jobs);
-
-        // Serial prefix, sharded resume.
-        let path = tmp("crossmode.journal");
-        let digest = journal::grid_digest(&jobs);
-        let mut w = journal::JournalWriter::create(&path, digest).unwrap();
-        for (i, r) in serial.iter().enumerate().take(2) {
-            w.append(i, r).unwrap();
-        }
-        drop(w);
-        let shard = ShardParams::with_threads(3);
-        let mut executed = Vec::new();
-        let resumed =
-            run_grid_journaled_sharded(&jobs, 1, &path, true, &shard, |i, _| executed.push(i))
-                .unwrap();
-        executed.sort_unstable();
-        assert_eq!(executed, vec![2, 3, 4, 5]);
-        assert_eq!(serial, resumed);
-
-        // Sharded prefix, serial resume: the journal carries no trace of
-        // which mode wrote it, because the records are bit-identical.
-        let path = tmp("crossmode-back.journal");
-        let _ = run_grid_journaled_sharded(
-            &jobs[..3],
-            1,
-            &path,
-            false,
-            &ShardParams::with_threads(2),
-            |_, _| {},
-        )
-        .unwrap();
-        let first = std::fs::read_to_string(&path).unwrap();
-        let path2 = tmp("crossmode-serial.journal");
-        let _ = run_grid_journaled(&jobs[..3], 1, &path2, false, |_, _| {}).unwrap();
-        let second = std::fs::read_to_string(&path2).unwrap();
-        assert_eq!(first, second, "journal bytes are mode-invariant");
     }
 
     #[test]

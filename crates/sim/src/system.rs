@@ -46,16 +46,13 @@ struct Lane {
     /// Cycle at which this lane retired its last instruction.
     finish_time: u64,
     /// Records pulled from the feed in bulk but not yet issued. Chunked
-    /// pulls amortize the per-record feed call (and, on the sharded path,
-    /// the queue handoff) without touching the issue order: the scheduler
-    /// below still interleaves lanes access by access.
+    /// pulls amortize the per-record feed call without touching the issue
+    /// order: the scheduler below still interleaves lanes access by access.
     buf: Vec<TraceRecord>,
     /// Next unread index into `buf`.
     pos: usize,
-    /// Records this lane may still pull from the feed. The bound matters on
-    /// the sharded path: producers generate exactly `accesses_per_core`
-    /// records per lane, so pulling past it would block on a chunk that
-    /// will never arrive.
+    /// Records this lane may still pull from the feed. The bound keeps a
+    /// lane from generating records it will never issue.
     unfetched: u64,
 }
 
@@ -88,26 +85,20 @@ impl Lane {
 ///
 /// [`System::run_with_feed`] pulls every record through this interface in
 /// the scheduler's (timing-driven) order; each lane's sub-stream must come
-/// back in generation order. The serial path wires lanes straight to their
-/// generators; the sharded path ([`crate::shard`]) feeds pre-generated
-/// epoch chunks from producer threads. Because the per-lane streams are
-/// pure functions of (profile, lane, seed), identical records reach an
-/// identical run loop — which is why sharded results are bit-identical to
-/// serial ones at any thread count.
+/// back in generation order. [`StreamFeed`], which wires each lane straight
+/// to its generator, is the feed every run of the simulator uses.
 pub trait RecordFeed {
-    /// Returns lane `lane`'s next record. The run loop calls this once per
-    /// lane to prime the pipeline and then once per serviced access.
+    /// Returns lane `lane`'s next record.
     fn next(&mut self, lane: usize) -> TraceRecord;
 
     /// Appends up to `max` of lane `lane`'s next records to `buf` and
     /// returns how many were appended (at least one when `max > 0`).
     ///
     /// The run loop buffers records per lane and pulls through this method,
-    /// so feeds that hold records in bulk — the sharded path's epoch chunks,
-    /// the serial generators — can hand over a whole run of them per call
-    /// instead of paying a virtual dispatch (and, sharded, a queue lock) per
-    /// record. The default pulls exactly one record via [`next`], so a feed
-    /// that only implements the scalar method keeps its exact behavior.
+    /// so feeds can hand over a whole run of records per call instead of
+    /// paying a virtual dispatch per record. The default pulls exactly one
+    /// record via [`next`], so a feed that only implements the scalar
+    /// method keeps its exact behavior.
     ///
     /// Chunking is a transport detail: each lane's records arrive in the
     /// same order `next` would produce, and the run loop still issues
@@ -121,6 +112,91 @@ pub trait RecordFeed {
         }
         buf.push(self.next(lane));
         1
+    }
+}
+
+/// One lane's record generator: an infinite deterministic stream.
+/// [`WorkloadGen`] is the closed-loop implementation; the request-serving
+/// plane layers arrival stamps and admission over it with its own.
+pub trait RecordStream {
+    /// Produces the stream's next record.
+    fn next_record(&mut self) -> TraceRecord;
+}
+
+impl RecordStream for WorkloadGen {
+    fn next_record(&mut self) -> TraceRecord {
+        WorkloadGen::next_record(self)
+    }
+}
+
+/// A factory of per-lane [`RecordStream`]s, one per simulated core.
+pub trait LaneSource {
+    /// The per-lane stream type.
+    type Stream: RecordStream;
+
+    /// Builds lane `lane`'s stream. Must be a pure function of
+    /// `(self, lane)`: two calls with the same lane yield streams that
+    /// emit identical records.
+    fn stream(&self, lane: usize) -> Self::Stream;
+}
+
+/// The closed-loop source behind [`System::run`]: one [`WorkloadGen`] per
+/// lane.
+pub(crate) struct WorkloadSource<'p> {
+    pub(crate) profile: &'p WorkloadProfile,
+    pub(crate) seed: u64,
+}
+
+impl LaneSource for WorkloadSource<'_> {
+    type Stream = WorkloadGen;
+
+    fn stream(&self, lane: usize) -> WorkloadGen {
+        WorkloadGen::new(self.profile, CoreId::new(lane as u16), self.seed)
+    }
+}
+
+/// The feed every run uses: one [`RecordStream`] per lane, called inline
+/// from the run loop.
+pub struct StreamFeed<G> {
+    streams: Vec<G>,
+}
+
+impl<G: RecordStream> StreamFeed<G> {
+    /// Builds lanes `0..lanes` of `source`, in lane order.
+    pub fn new<L: LaneSource<Stream = G>>(source: &L, lanes: usize) -> Self {
+        Self {
+            streams: (0..lanes).map(|i| source.stream(i)).collect(),
+        }
+    }
+}
+
+/// Records per [`RecordFeed::next_chunk`] pull: large enough to amortize
+/// the virtual call, small enough that per-lane buffers stay a few cache
+/// pages.
+const FEED_CHUNK: u64 = 1024;
+
+impl<G: RecordStream> RecordFeed for StreamFeed<G> {
+    fn next(&mut self, lane: usize) -> TraceRecord {
+        match self.streams.get_mut(lane) {
+            Some(g) => g.next_record(),
+            None => {
+                debug_assert!(false, "feed polled for a lane it does not own");
+                TraceRecord::load(0, VirtAddr::new(0), 0)
+            }
+        }
+    }
+
+    fn next_chunk(&mut self, lane: usize, buf: &mut Vec<TraceRecord>, max: u64) -> usize {
+        let Some(g) = self.streams.get_mut(lane) else {
+            debug_assert!(false, "feed polled for a lane it does not own");
+            return 0;
+        };
+        let count = max.min(FEED_CHUNK);
+        buf.reserve(count as usize);
+        for _ in 0..count {
+            buf.push(g.next_record());
+        }
+        count as usize
     }
 }
 
@@ -163,51 +239,6 @@ impl ServiceTap for NullTap {
     const ENABLED: bool = false;
 
     fn on_serviced(&mut self, _: usize, _: u64, _: u64, _: u64, _: u64) {}
-}
-
-/// The serial feed: one generator per lane, called inline from the run loop.
-struct GenFeed {
-    gens: Vec<WorkloadGen>,
-}
-
-impl GenFeed {
-    fn new(profile: &WorkloadProfile, lanes: usize, seed: u64) -> Self {
-        Self {
-            gens: (0..lanes)
-                .map(|i| WorkloadGen::new(profile, CoreId::new(i as u16), seed))
-                .collect(),
-        }
-    }
-}
-
-/// Records per [`RecordFeed::next_chunk`] pull on the serial path: large
-/// enough to amortize the virtual call, small enough that per-lane buffers
-/// stay a few cache pages.
-const GEN_CHUNK: u64 = 1024;
-
-impl RecordFeed for GenFeed {
-    fn next(&mut self, lane: usize) -> TraceRecord {
-        match self.gens.get_mut(lane) {
-            Some(g) => g.next_record(),
-            None => {
-                debug_assert!(false, "feed polled for a lane it does not own");
-                TraceRecord::load(0, VirtAddr::new(0), 0)
-            }
-        }
-    }
-
-    fn next_chunk(&mut self, lane: usize, buf: &mut Vec<TraceRecord>, max: u64) -> usize {
-        let Some(g) = self.gens.get_mut(lane) else {
-            debug_assert!(false, "feed polled for a lane it does not own");
-            return 0;
-        };
-        let count = max.min(GEN_CHUNK);
-        buf.reserve(count as usize);
-        for _ in 0..count {
-            buf.push(g.next_record());
-        }
-        count as usize
-    }
 }
 
 /// A complete simulated machine under one placement scheme.
@@ -361,16 +392,16 @@ impl<T: Tracer> System<T> {
         accesses_per_core: u64,
         seed: u64,
     ) -> SystemOutcome {
-        let mut feed = GenFeed::new(profile, self.core_count(), seed);
+        let mut feed = StreamFeed::new(&WorkloadSource { profile, seed }, self.core_count());
         self.run_with_feed(&mut feed, accesses_per_core)
     }
 
     /// The run loop behind [`System::run`], generic over where the workload
-    /// records come from. Every path into the simulator — serial, traced,
-    /// faulted, sharded — executes this exact loop; feeds differ only in
-    /// how lane sub-streams are produced, never in what reaches the shared
-    /// machine state (caches, page pool, scheme, DRAM), so results are a
-    /// pure function of the record streams.
+    /// records come from. Every path into the simulator — closed-loop,
+    /// traced, faulted, open-loop serving — executes this exact loop; feeds
+    /// differ only in how lane sub-streams are produced, never in what
+    /// reaches the shared machine state (caches, page pool, scheme, DRAM),
+    /// so results are a pure function of the record streams.
     pub fn run_with_feed<F: RecordFeed>(
         &mut self,
         feed: &mut F,

@@ -7,7 +7,7 @@
 //! shed load and blown deadlines. This module generates those schedules
 //! deterministically in the cycle domain: per-lane arrival cycles that are
 //! a pure function of `(profile, rate, lane, seed)`, never of anything the
-//! engine does — the purity the sharded byte-identity contract rests on.
+//! engine does — the purity a serving trial's reproducibility rests on.
 //!
 //! Three shapes (rd-hashd-style load profiles, scaled to cycles):
 //!

@@ -270,8 +270,8 @@ impl SchemeStats {
     /// metrics with the same key add as well (a key present in only one
     /// side is carried over). Merging preserves the access-rate identity —
     /// the merged rate is the access-weighted mean of the inputs — so
-    /// deterministic lane/epoch aggregation (see `silcfm-sim`'s sharded
-    /// runner) loses nothing relative to a single serial tally.
+    /// aggregating per-run stats (across a grid, say) loses nothing
+    /// relative to a single tally.
     pub fn merge(&mut self, other: &SchemeStats) {
         self.accesses += other.accesses;
         self.serviced_from_nm += other.serviced_from_nm;

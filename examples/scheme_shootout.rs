@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example scheme_shootout -- [workload]`
 //! (default `lib`; any Table III name works, e.g. `mcf`, `milc`, `gcc`).
 //!
-//! The scheme grid runs twice — once serially, once through the sharded
+//! The scheme grid runs twice — once serially, once through the parallel
 //! worker pool (`silc_fm::sim::run_grid`, thread count from
 //! `SILCFM_THREADS` or the machine) — and prints both wall-clock times
 //! along with a check that the two paths produced identical results.

@@ -59,10 +59,9 @@ cargo run --release --offline -p silcfm-bench --bin throughput -- \
   --budget 2000 --repeats 1 --batch 64 --no-write --skip-grid --overhead
 
 # Latency-percentile smoke: measure per-class demand-latency sketches
-# for every scheme on a 3-workload subset, and gate serial-vs-sharded
-# byte-identity of the sketch encodings (DESIGN.md §14) — the percentile
-# plane must not depend on the thread count.
-echo "==> latency percentiles (smoke, sharded byte-identity gate)"
+# for every scheme on a 3-workload subset through the parallel traced
+# grid (DESIGN.md §14).
+echo "==> latency percentiles (smoke)"
 cargo run --release --offline -p silcfm-bench --bin latency -- --smoke --no-write
 
 # Perf-regression gate: interleaved best-of regime measurement, gated on
@@ -72,13 +71,6 @@ cargo run --release --offline -p silcfm-bench --bin latency -- --smoke --no-writ
 # run to results/BENCH_trajectory.json and commit it.
 echo "==> perf-regression gate (smoke, ratio bands vs committed trajectory)"
 cargo run --release --offline -p silcfm-bench --bin regress -- --smoke --check
-
-# Scaling smoke: run one small simulation serially and sharded at 1, 2
-# and 4 threads and demand bit-identical results — the epoch-barrier
-# merge determinism guarantee (DESIGN.md §11), checked end to end
-# through the real bench binary rather than only in unit tests.
-echo "==> sharded-run determinism (smoke)"
-cargo run --release --offline -p silcfm-bench --bin scaling -- --smoke
 
 # Trace smoke: capture one fully traced smoke run, then validate the
 # Chrome trace with the in-tree checker — the JSON must parse, every
@@ -110,34 +102,30 @@ cargo run --release --offline -p silcfm-obs --bin trace_check -- \
 echo "==> chaos soak (smoke)"
 cargo run --release --offline -p silcfm-bench --bin chaos -- --smoke
 
-# Kill-and-resume smoke: run a journaled fault grid with each cell
-# sharded across 2 threads, crash it mid-write after 2 of 4 jobs
-# (exit 3, torn tail on the journal), resume it — still sharded — and
-# demand the byte-identical aggregate an uninterrupted *serial* run
-# produces. Passing proves both crash-safety and that sharded execution
-# is mode-invariant (DESIGN.md §11): the journal cannot tell which
-# engine wrote it.
-echo "==> journaled grid kill-and-resume (smoke, sharded cells)"
+# Kill-and-resume smoke: run a journaled fault grid, crash it mid-write
+# after 2 of 4 jobs (exit 3, torn tail on the journal), resume it, and
+# demand the byte-identical aggregate an uninterrupted run produces
+# (DESIGN.md §10).
+echo "==> journaled grid kill-and-resume (smoke)"
 chaos_bin="target/release/chaos"
 journal_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$journal_dir"' EXIT
 rc=0
 "$chaos_bin" --skip-soak --journal "$journal_dir/crash.journal" \
-  --die-after-jobs 2 --sharded 2 || rc=$?
+  --die-after-jobs 2 || rc=$?
 [ "$rc" -eq 3 ] || { echo "expected simulated crash (exit 3), got $rc"; exit 1; }
 resumed="$("$chaos_bin" --skip-soak --journal "$journal_dir/crash.journal" \
-  --resume --sharded 2 | grep -o 'aggregate=[0-9a-f]*')"
+  --resume | grep -o 'aggregate=[0-9a-f]*')"
 fresh="$("$chaos_bin" --skip-soak --journal "$journal_dir/fresh.journal" \
   | grep -o 'aggregate=[0-9a-f]*')"
 [ -n "$resumed" ] && [ "$resumed" = "$fresh" ] || {
   echo "resume aggregate mismatch: resumed='$resumed' fresh='$fresh'"; exit 1; }
-echo "    resumed (sharded) $resumed == fresh (serial) $fresh"
+echo "    resumed $resumed == fresh $fresh"
 
 # Serving-plane smoke: the SLO max-RPS search at CI size (DESIGN.md §15).
-# Writes results/BENCH_slo.json (uploaded as a workflow artifact), runs
-# the AIMD searches with the conservation ledger asserted on every trial,
-# and gates serial-vs-sharded byte-identity of the full serving digest.
-echo "==> SLO max-RPS search (smoke, sharded byte-identity gate)"
+# Writes results/BENCH_slo.json (uploaded as a workflow artifact) and runs
+# the AIMD searches with the conservation ledger asserted on every trial.
+echo "==> SLO max-RPS search (smoke)"
 slo_bin="target/release/slo"
 cargo run --release --offline -p silcfm-bench --bin slo -- --smoke
 
@@ -147,12 +135,12 @@ cargo run --release --offline -p silcfm-bench --bin slo -- --smoke
 # uninterrupted search prints.
 echo "==> SLO search kill-and-resume (smoke)"
 rc=0
-"$slo_bin" --smoke --no-write --skip-check \
+"$slo_bin" --smoke --no-write \
   --journal "$journal_dir/slo.journal" --die-after-trials 4 || rc=$?
 [ "$rc" -eq 3 ] || { echo "expected simulated crash (exit 3), got $rc"; exit 1; }
-slo_resumed="$("$slo_bin" --smoke --no-write --skip-check \
+slo_resumed="$("$slo_bin" --smoke --no-write \
   --journal "$journal_dir/slo.journal" --resume | grep -o 'aggregate=[0-9a-f]*')"
-slo_fresh="$("$slo_bin" --smoke --no-write --skip-check \
+slo_fresh="$("$slo_bin" --smoke --no-write \
   | grep -o 'aggregate=[0-9a-f]*')"
 [ -n "$slo_resumed" ] && [ "$slo_resumed" = "$slo_fresh" ] || {
   echo "SLO resume aggregate mismatch: resumed='$slo_resumed' fresh='$slo_fresh'"
@@ -161,8 +149,8 @@ echo "    resumed $slo_resumed == fresh $slo_fresh"
 
 # Serving-plane fault soak: open-loop trials under harsh faults — request
 # ledger conservation, NACK windows pinned to real failure intervals, the
-# failover oracle, sharded identity under faults, and ledger evidence
-# behind every regulator back-off (DESIGN.md §15).
+# failover oracle, and ledger evidence behind every regulator back-off
+# (DESIGN.md §15).
 echo "==> chaos serving-plane soak (smoke)"
 "$chaos_bin" --smoke --skip-soak --slo
 

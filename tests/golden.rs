@@ -70,8 +70,8 @@ fn golden_stats_snapshot() {
     let serial = run_grid_serial(&jobs);
     let actual = digest(&serial);
 
-    // The parallel engine must reproduce the digest bit for bit — this is
-    // the aggregate-level determinism guarantee of the sharded runner.
+    // The parallel grid runner must reproduce the digest bit for bit — its
+    // aggregate-level determinism guarantee.
     let parallel = run_grid(&jobs, 4);
     assert_eq!(
         digest(&parallel),
@@ -101,56 +101,6 @@ fn golden_stats_snapshot() {
             expected.lines().count()
         );
     }
-}
-
-/// Thread-invariance of the *sharded single-run* engine against the same
-/// committed snapshot: executing every workload × scheme row with the
-/// simulation itself sharded at 2 and at 4 threads must reproduce the
-/// serial digest bit for bit, with zero epoch-merge handoff mismatches —
-/// and the per-job lane-delta checksums must be identical across thread
-/// counts, because they are a pure function of the workload streams.
-#[test]
-fn sharded_digests_match_the_committed_snapshot_at_any_thread_count() {
-    use silc_fm::sim::{run_sharded, ShardParams};
-
-    // silcfm-lint: allow(D2) -- during a BLESS re-snapshot the committed file is mid-rewrite by the snapshot test; this check reruns on the next ordinary test pass
-    if std::env::var("BLESS").is_ok() {
-        return;
-    }
-    let expected = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("tests/golden_stats.txt missing; regenerate with BLESS=1 cargo test --test golden");
-
-    let jobs = snapshot_jobs();
-    let mut checksum_rows: Vec<Vec<u64>> = Vec::new();
-    for threads in [2usize, 4] {
-        let shard = ShardParams {
-            threads,
-            epoch_records: 1024,
-            lookahead_epochs: 4,
-        };
-        let mut results = Vec::new();
-        let mut checksums = Vec::new();
-        for job in &jobs {
-            let (r, report) = run_sharded(&job.profile, job.scheme, &job.cfg, &job.params, &shard);
-            assert_eq!(
-                report.delta_mismatches, 0,
-                "{}/{} tore an epoch handoff at {threads} threads",
-                r.workload, r.scheme
-            );
-            checksums.push(report.checksum);
-            results.push(r);
-        }
-        assert_eq!(
-            digest(&results),
-            expected,
-            "sharded digest at {threads} threads diverged from the committed snapshot"
-        );
-        checksum_rows.push(checksums);
-    }
-    assert_eq!(
-        checksum_rows[0], checksum_rows[1],
-        "lane-delta checksums must be thread-count invariant"
-    );
 }
 
 /// The outcome-reuse protocol is behavior-neutral: driving every scheme with
@@ -256,18 +206,17 @@ fn tracing_is_behavior_neutral_and_deterministic() {
     }
 }
 
-/// The latency-percentile plane is engine-invariant: the per-class
+/// The latency-percentile plane is thread-count invariant: the per-class
 /// quantile-sketch encodings (and therefore every percentile report built
-/// from them) must be byte-identical whether a cell runs serially or on
-/// the sharded engine at 2 or 4 threads. The sketches fold samples in
-/// completion order, so this pins the guarantee that sharded epoch-barrier
-/// commits replay the *exact* serial completion sequence — a weaker
-/// "same multiset of samples" property would already give identical
+/// from them) must be byte-identical whether a cell runs alone or inside
+/// the parallel traced grid. The sketches fold samples in completion order,
+/// so this pins that each run replays the *exact* completion sequence — a
+/// weaker "same multiset of samples" property would already give identical
 /// percentiles, but byte equality of the counts is what the journal and
 /// the grid aggregation rely on.
 #[test]
-fn latency_sketches_are_byte_identical_serial_vs_sharded() {
-    use silc_fm::sim::{run_sharded_traced, run_traced, ShardParams, TraceParams};
+fn latency_sketches_are_byte_identical_serial_vs_parallel_grid() {
+    use silc_fm::sim::{run_grid_traced, run_traced, TraceParams};
 
     let trace = TraceParams {
         events_capacity: 1 << 14,
@@ -288,34 +237,25 @@ fn latency_sketches_are_byte_identical_serial_vs_sharded() {
         "the filter should keep 2 workloads x 2 schemes"
     );
 
-    for job in &jobs {
+    let encode = |report: &silc_fm::obs::ObsReport| {
+        let mut bytes = String::new();
+        report.latency.encode(&mut bytes);
+        bytes
+    };
+    let parallel = run_grid_traced(&jobs, &trace, 2);
+    for (job, (_, parallel_report)) in jobs.iter().zip(&parallel) {
         let (_, serial_report) =
             run_traced(&job.profile, job.scheme, &job.cfg, &job.params, &trace);
-        let mut serial_bytes = String::new();
-        serial_report.latency.encode(&mut serial_bytes);
         assert!(
             serial_report.latency.count() > 0,
             "the percentile plane must see samples"
         );
-        for threads in [2usize, 4] {
-            let shard = ShardParams::with_threads(threads);
-            let (_, sharded_report, _) = run_sharded_traced(
-                &job.profile,
-                job.scheme,
-                &job.cfg,
-                &job.params,
-                &trace,
-                &shard,
-            );
-            let mut sharded_bytes = String::new();
-            sharded_report.latency.encode(&mut sharded_bytes);
-            assert_eq!(
-                sharded_bytes,
-                serial_bytes,
-                "{}/{}: sketch bytes diverged at {threads} threads",
-                job.profile.name,
-                job.scheme.label()
-            );
-        }
+        assert_eq!(
+            encode(parallel_report),
+            encode(&serial_report),
+            "{}/{}: sketch bytes diverged in the parallel grid",
+            job.profile.name,
+            job.scheme.label()
+        );
     }
 }

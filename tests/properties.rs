@@ -676,87 +676,19 @@ fn journal_resume_recovers_exactly_the_complete_prefix() {
     );
 }
 
-// ---- sharded-run determinism ----------------------------------------------
+// ---- whole-run determinism -------------------------------------------------
 
-/// Sharding a run across producer threads is invisible in the results: for
-/// random workloads, schemes, run sizes, seeds and epoch geometries, the
-/// full result digest of `run_sharded` equals the serial `run`'s at every
-/// thread count in {1, 2, 3, 4, 7} — and the epoch-merge checksum is a pure
-/// function of the workload streams, so it never varies with the thread
-/// count either.
+/// The heavyweight run modes replay exactly and stay honest, for random run
+/// sizes and seeds: a traced run reproduces the untraced result digest and
+/// exports byte-identical Chrome traces and CSV series on a second run, and
+/// a run with an armed fault schedule replays its result and ledger bit for
+/// bit, conserves every effect, and still conserves after merging ledgers.
 #[test]
-fn sharded_runs_match_serial_bit_for_bit() {
-    use silc_fm::sim::{run, run_sharded, RunParams, SchemeKind, ShardParams};
-    use silc_fm::types::{FxHasher, SystemConfig};
-    use std::hash::Hasher as _;
-
-    fn digest(r: &silc_fm::sim::RunResult) -> u64 {
-        let mut h = FxHasher::default();
-        h.write(format!("{r:?}").as_bytes());
-        h.finish()
-    }
-
-    forall_cases("sharded_runs_match_serial_bit_for_bit", 8, |rng| {
-        let names = ["milc", "mcf", "lib", "dealii"];
-        let profile =
-            silc_fm::trace::profiles::by_name(names[rng.gen_range(0usize..names.len())]).unwrap();
-        let schemes = [
-            SchemeKind::silcfm(),
-            SchemeKind::Hma,
-            SchemeKind::Cameo,
-            SchemeKind::Pom,
-        ];
-        let scheme = schemes[rng.gen_range(0usize..schemes.len())];
-        let cfg = SystemConfig::small();
-        let params = RunParams {
-            accesses_per_core: rng.gen_range(1_500u64..4_000),
-            seed: rng.gen_range(0u64..1 << 48),
-            ..RunParams::smoke()
-        };
-        let serial = digest(&run(profile, scheme, &cfg, &params));
-
-        // One epoch geometry per case: the merge checksum depends on the
-        // barrier spacing, so invariance is asserted at fixed geometry.
-        let epoch_records = rng.gen_range(64u64..1_500);
-        let lookahead_epochs = rng.gen_range(1usize..5);
-        let mut checksums = Vec::new();
-        for threads in [1usize, 2, 3, 4, 7] {
-            let shard = ShardParams {
-                threads,
-                epoch_records,
-                lookahead_epochs,
-            };
-            let (r, report) = run_sharded(profile, scheme, &cfg, &params, &shard);
-            assert_eq!(digest(&r), serial, "threads={threads} diverged from serial");
-            assert_eq!(
-                report.delta_mismatches, 0,
-                "threads={threads} tore a handoff"
-            );
-            assert_eq!(
-                report.merged.records,
-                params.accesses_per_core * u64::from(cfg.core.cores),
-                "merged lane deltas must account every record"
-            );
-            checksums.push(report.checksum);
-        }
-        assert!(
-            checksums.windows(2).all(|w| w[0] == w[1]),
-            "merge checksum varied with thread count: {checksums:?}"
-        );
-    });
-}
-
-/// The sharded runner stays bit-identical with the heavyweight run modes
-/// on: full observability (result digest, Chrome trace and CSV exports all
-/// byte-equal to the serial traced run) and armed fault schedules (ledger
-/// bit-equal, conserved, and still conserved after merging ledgers).
-#[test]
-fn sharded_traced_and_faulted_runs_match_serial() {
+fn traced_and_faulted_runs_replay_and_conserve() {
     use silc_fm::fault::FaultRates;
     use silc_fm::obs::export;
     use silc_fm::sim::{
-        run_faulted, run_sharded_faulted, run_sharded_traced, run_traced, FaultParams, RunParams,
-        SchemeKind, ShardParams, TraceParams,
+        run, run_faulted, run_traced, FaultParams, RunParams, SchemeKind, TraceParams,
     };
     use silc_fm::types::{FxHasher, SystemConfig};
     use std::hash::Hasher as _;
@@ -767,7 +699,7 @@ fn sharded_traced_and_faulted_runs_match_serial() {
         h.finish()
     }
 
-    forall_cases("sharded_traced_and_faulted_runs_match_serial", 4, |rng| {
+    forall_cases("traced_and_faulted_runs_replay_and_conserve", 4, |rng| {
         let profile = silc_fm::trace::profiles::by_name("milc").unwrap();
         let scheme = SchemeKind::silcfm();
         let cfg = SystemConfig::small();
@@ -776,69 +708,68 @@ fn sharded_traced_and_faulted_runs_match_serial() {
             seed: rng.gen_range(0u64..1 << 48),
             ..RunParams::smoke()
         };
-        let shard = ShardParams {
-            threads: [2usize, 3, 7][rng.gen_range(0usize..3)],
-            epoch_records: rng.gen_range(64u64..1_000),
-            lookahead_epochs: rng.gen_range(1usize..4),
-        };
 
-        // Tracing on: results and exported artifacts are byte-identical.
+        // Tracing on: results unchanged, exported artifacts reproducible.
         let trace = TraceParams {
             events_capacity: 1 << 14,
             epoch_cycles: 50_000,
         };
-        let (sr, s_report) = run_traced(profile, scheme, &cfg, &params, &trace);
-        let (pr, p_report, shard_report) =
-            run_sharded_traced(profile, scheme, &cfg, &params, &trace, &shard);
-        assert_eq!(digest(&pr), digest(&sr), "traced results diverged");
-        assert_eq!(shard_report.delta_mismatches, 0);
+        let plain = run(profile, scheme, &cfg, &params);
+        let (ar, a_report) = run_traced(profile, scheme, &cfg, &params, &trace);
+        let (br, b_report) = run_traced(profile, scheme, &cfg, &params, &trace);
+        assert_eq!(digest(&ar), digest(&plain), "tracing changed the result");
+        assert_eq!(digest(&br), digest(&ar), "traced results diverged");
         assert_eq!(
-            export::chrome_trace(&p_report),
-            export::chrome_trace(&s_report),
-            "chrome trace diverged under sharding"
+            export::chrome_trace(&a_report),
+            export::chrome_trace(&b_report),
+            "chrome trace diverged on replay"
         );
         assert_eq!(
-            export::csv_series(&p_report),
-            export::csv_series(&s_report),
-            "CSV time series diverged under sharding"
+            export::csv_series(&a_report),
+            export::csv_series(&b_report),
+            "CSV time series diverged on replay"
         );
 
-        // Fault schedule armed: the ledger is bit-identical and conserved,
-        // and ledgers from independent runs merge without leaking.
+        // Fault schedule armed: the ledger replays bit for bit and is
+        // conserved, and ledgers from independent runs merge without leaking.
         let faults = FaultParams {
             fault_seed: rng.gen_range(0u64..1 << 48),
             horizon_cycles: 3_000_000,
             rates: FaultRates::harsh(),
         };
         let (fr, f_stats) = run_faulted(profile, scheme, &cfg, &params, &faults).unwrap();
-        let (pfr, pf_stats, f_shard) =
-            run_sharded_faulted(profile, scheme, &cfg, &params, &faults, &shard).unwrap();
-        assert_eq!(digest(&pfr), digest(&fr), "faulted results diverged");
-        assert_eq!(pf_stats, f_stats, "fault ledgers diverged");
-        assert!(pf_stats.conserved());
-        assert_eq!(f_shard.delta_mismatches, 0);
-        let mut merged = pf_stats;
+        let (gr, g_stats) = run_faulted(profile, scheme, &cfg, &params, &faults).unwrap();
+        assert_eq!(digest(&gr), digest(&fr), "faulted results diverged");
+        assert_eq!(g_stats, f_stats, "fault ledgers diverged");
+        assert!(f_stats.conserved());
+        let mut merged = g_stats;
         merged.merge(&f_stats);
         assert!(merged.conserved(), "merged ledgers must not leak effects");
         assert_eq!(merged.injected, 2 * f_stats.injected);
     });
 }
 
-/// PR 5's crash model applied to the *sharded* journaled runner: cut the
-/// journal at an arbitrary byte, resume sharded, and the aggregate — and
-/// the finished journal file itself — must come back byte-identical to the
-/// uninterrupted run's.
+/// The journal's crash model applied to real runs: cut the journal at an
+/// arbitrary byte, resume on one or two workers, and the aggregate — and the
+/// finished journal itself — must come back identical to the uninterrupted
+/// run's.
 #[test]
-fn sharded_journaled_grid_survives_random_cuts() {
+fn journaled_grid_survives_random_cuts() {
     use silc_fm::sim::runner::ExperimentGrid;
-    use silc_fm::sim::{run_grid_journaled_sharded, RunParams, SchemeKind, ShardParams};
+    use silc_fm::sim::{run_grid_journaled, RunParams, SchemeKind};
     use silc_fm::types::SystemConfig;
 
-    let dir =
-        std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("silcfm-prop-shard-journal");
+    /// The header line, then the job records in sorted order.
+    fn records(journal: &[u8]) -> Vec<&[u8]> {
+        let mut lines: Vec<&[u8]> = journal.split(|b| *b == b'\n').collect();
+        lines[1..].sort_unstable();
+        lines
+    }
+
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("silcfm-prop-journal");
     std::fs::create_dir_all(&dir).unwrap();
 
-    forall_cases("sharded_journaled_grid_survives_random_cuts", 6, |rng| {
+    forall_cases("journaled_grid_survives_random_cuts", 6, |rng| {
         let params = RunParams {
             accesses_per_core: rng.gen_range(1_000u64..2_000),
             seed: rng.gen_range(0u64..1 << 48),
@@ -850,18 +781,13 @@ fn sharded_journaled_grid_survives_random_cuts() {
             .scheme(SchemeKind::silcfm())
             .seed_per_job()
             .jobs();
-        let shard = ShardParams {
-            threads: rng.gen_range(2usize..4),
-            epoch_records: rng.gen_range(128u64..600),
-            lookahead_epochs: 2,
-        };
+        let threads = rng.gen_range(1usize..3);
         let path = dir.join(format!(
             "case-{:016x}.journal",
             rng.gen_range(0u64..u64::MAX)
         ));
 
-        let uninterrupted =
-            run_grid_journaled_sharded(&jobs, 1, &path, false, &shard, |_, _| {}).unwrap();
+        let uninterrupted = run_grid_journaled(&jobs, threads, &path, false, |_, _| {}).unwrap();
         let full = std::fs::read(&path).unwrap();
 
         // Crash model: the file survives only up to an arbitrary byte.
@@ -869,13 +795,23 @@ fn sharded_journaled_grid_survives_random_cuts() {
         let cut = rng.gen_range(header_end..=full.len());
         std::fs::write(&path, &full[..cut]).unwrap();
 
-        let resumed = run_grid_journaled_sharded(&jobs, 1, &path, true, &shard, |_, _| {}).unwrap();
+        let resumed = run_grid_journaled(&jobs, threads, &path, true, |_, _| {}).unwrap();
         assert_eq!(uninterrupted, resumed, "aggregate must be cut-invariant");
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            full,
-            "the finished journal must be byte-identical to the uninterrupted one"
-        );
+        let finished = std::fs::read(&path).unwrap();
+        if threads == 1 {
+            assert_eq!(
+                finished, full,
+                "the finished journal must be byte-identical to the uninterrupted one"
+            );
+        } else {
+            // Two workers append records in completion order, so only the
+            // order of the record lines may differ.
+            assert_eq!(
+                records(&finished),
+                records(&full),
+                "the finished journal must hold the uninterrupted one's records"
+            );
+        }
         std::fs::remove_file(&path).ok();
     });
 }
