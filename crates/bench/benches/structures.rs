@@ -1,13 +1,14 @@
 //! Micro-benchmarks of the hot data structures: remap/metadata handling in
 //! the SILC-FM controller, the bit-vector history table, the way predictor,
-//! the set-associative cache and the DRAM timing model.
+//! the set-associative cache, the cache hierarchy and the DRAM timing model.
 //!
 //! Run with: `cargo bench -p silcfm-bench --bench structures`
 
 use silcfm_bench::timing::bench;
-use silcfm_cache::{AccessKind, SetAssocCache};
+use silcfm_cache::{AccessKind, CacheHierarchy, SetAssocCache};
 use silcfm_core::{BitVectorTable, SilcFm, SilcFmParams, WayPredictor};
 use silcfm_dram::{DramConfig, DramModel};
+use silcfm_types::rng::{Rng, Xoshiro256StarStar};
 use silcfm_types::{Access, AddressSpace, CoreId, Geometry, MemoryScheme, PhysAddr, SystemConfig};
 
 fn bench_history_table() {
@@ -39,6 +40,22 @@ fn bench_cache() {
     bench("set_assoc_cache", "l2_access", || {
         line = line.wrapping_add(97);
         std::hint::black_box(cache.access(line % (1 << 20), AccessKind::Read));
+    });
+}
+
+fn bench_hierarchy() {
+    // The 16-core experiment machine under a seeded mix of loads and
+    // stores over 8 MiB (8x the LLC): most accesses miss the LLC and many
+    // evict a dirty victim, so the writeback path is timed too.
+    let cfg = SystemConfig::experiment();
+    let mut hierarchy = CacheHierarchy::new(&cfg);
+    let cores = u32::from(cfg.core.cores);
+    let mut rng = Xoshiro256StarStar::seed_from_u64(7);
+    bench("cache_hierarchy", "experiment_mixed", || {
+        let core = CoreId::new(rng.gen_range(0..cores) as u16);
+        let addr = PhysAddr::new(rng.gen_range(0..(8u64 << 20)) & !63);
+        let is_write = rng.gen_bool(0.3);
+        std::hint::black_box(hierarchy.access_data(core, addr, is_write));
     });
 }
 
@@ -75,6 +92,7 @@ fn main() {
     bench_history_table();
     bench_predictor();
     bench_cache();
+    bench_hierarchy();
     bench_dram();
     bench_controller();
 }

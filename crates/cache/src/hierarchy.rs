@@ -1,8 +1,58 @@
 //! The Table II on-chip hierarchy: private L1I/L1D per core, shared L2 (LLC).
 
+use std::ops::Deref;
+
 use silcfm_types::{CoreId, PhysAddr, SystemConfig};
 
 use crate::set_assoc::{AccessKind, SetAssocCache};
+
+/// The dirty LLC victims of one access, stored inline. An access evicts at
+/// most two: one when L2 takes a dirty L1 victim, one when it allocates the
+/// demand line. Reads as a slice in eviction order.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Writebacks {
+    slots: [PhysAddr; 2],
+    len: u8,
+}
+
+impl Writebacks {
+    /// Appends a victim; a third (impossible, see the type docs) is dropped.
+    fn push(&mut self, addr: PhysAddr) {
+        let Some(slot) = self.slots.get_mut(usize::from(self.len)) else {
+            debug_assert!(false, "an access evicts at most two LLC lines");
+            return;
+        };
+        *slot = addr;
+        self.len += 1;
+    }
+}
+
+impl Deref for Writebacks {
+    type Target = [PhysAddr];
+
+    fn deref(&self) -> &[PhysAddr] {
+        self.slots.get(..usize::from(self.len)).unwrap_or_default()
+    }
+}
+
+impl<'a> IntoIterator for &'a Writebacks {
+    type Item = &'a PhysAddr;
+    type IntoIter = std::slice::Iter<'a, PhysAddr>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Equality of the live victims only: stale slot contents past `len` are
+/// not part of the value.
+impl PartialEq for Writebacks {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Writebacks {}
 
 /// Traffic a hierarchy access sends to the memory system.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -10,7 +60,7 @@ pub struct MissTraffic {
     /// The demand line must be fetched from memory.
     pub demand_fetch: bool,
     /// Dirty LLC victims that must be written back to memory.
-    pub writebacks: Vec<PhysAddr>,
+    pub writebacks: Writebacks,
 }
 
 /// Result of one load/store/fetch through the hierarchy.
@@ -273,6 +323,59 @@ mod tests {
             !res.traffic.writebacks.is_empty(),
             "dirty L2 victim must be written back: {res:?}"
         );
+    }
+
+    #[test]
+    fn one_access_can_write_back_two_lines_in_eviction_order() {
+        // One-line L1s per core over a shared 1-set, 2-way L2: a sibling
+        // core can evict a line from L2 while it is still dirty in L1.
+        let line = |capacity_bytes, ways| silcfm_types::CacheParams {
+            capacity_bytes,
+            ways,
+            line_bytes: 64,
+            latency_cycles: 4,
+        };
+        let cfg = SystemConfig {
+            l1d: line(64, 1),
+            l2: line(128, 2),
+            ..SystemConfig::small()
+        };
+        let mut h = CacheHierarchy::new(&cfg);
+        let (c0, c1) = (CoreId::new(0), CoreId::new(1));
+        let (x, p, q, y) = (0, 64, 128, 192);
+        h.access_data(c0, PhysAddr::new(x), true); // L2: x
+        h.access_data(c1, PhysAddr::new(p), true); // L2: x p
+        let res = h.access_data(c1, PhysAddr::new(q), true); // L2: p q, evicts x
+        assert_eq!(*res.traffic.writebacks, [PhysAddr::new(x)]);
+        // Core 0's dirty x re-enters L2 and evicts dirty p; the demand miss
+        // for y then evicts dirty q.
+        let res = h.access_data(c0, PhysAddr::new(y), true);
+        assert!(res.is_llc_miss());
+        assert_eq!(
+            *res.traffic.writebacks,
+            [PhysAddr::new(p), PhysAddr::new(q)]
+        );
+    }
+
+    #[test]
+    fn writebacks_compare_live_slots_only() {
+        let (a, b, c) = (PhysAddr::new(64), PhysAddr::new(128), PhysAddr::new(192));
+        let one = |stale| Writebacks {
+            slots: [a, stale],
+            len: 1,
+        };
+        assert_eq!(one(b), one(c));
+        assert_ne!(one(b), Writebacks::default());
+        assert_ne!(
+            one(b),
+            Writebacks {
+                slots: [a, b],
+                len: 2
+            }
+        );
+        let mut pushed = Writebacks::default();
+        pushed.push(a);
+        assert_eq!(pushed, one(c));
     }
 
     #[test]

@@ -21,6 +21,9 @@ use crate::observe::RunObs;
 /// memory controller.
 const BACKGROUND_LAG: u64 = 120;
 
+/// The lane clock's mark for a lane that has issued its last record.
+const FINISHED: u64 = u64::MAX;
+
 /// Aggregate outcome of [`System::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemOutcome {
@@ -32,17 +35,15 @@ pub struct SystemOutcome {
     pub llc_misses: u64,
 }
 
-/// Per-core execution state: the core model plus the scheduler bookkeeping
-/// that used to live in parallel vectors. One struct per core means the run
-/// loop touches exactly one bounds-checked element per serviced access.
+/// Per-core execution state: the core model plus its record buffer. The
+/// lane's next issue time lives apart, in the run loop's dense lane clock,
+/// so the scheduler scan reads one word per lane.
 struct Lane {
     core: Core,
     /// The record waiting to issue.
     pending: TraceRecord,
     /// Memory accesses still to issue on this lane.
     remaining: u64,
-    /// Next issue time (`None` = lane finished).
-    next: Option<u64>,
     /// Cycle at which this lane retired its last instruction.
     finish_time: u64,
     /// Records pulled from the feed in bulk but not yet issued. Chunked
@@ -422,8 +423,9 @@ impl<T: Tracer> System<T> {
         tap: &mut S,
     ) -> SystemOutcome {
         let n = self.core_count();
-        // Setup: one lane per core, primed with its first record. This is
-        // the run's only allocation; the access loop below reuses it.
+        // Setup: one lane per core, primed with its first record, and the
+        // lane clock. These are the run's only allocations; the access loop
+        // below reuses them.
         let mut lanes: Vec<Lane> = (0..n)
             .map(|i| {
                 let core = Core::new(
@@ -435,7 +437,6 @@ impl<T: Tracer> System<T> {
                     core,
                     pending: TraceRecord::load(0, VirtAddr::new(0), 0),
                     remaining: accesses_per_core,
-                    next: None,
                     finish_time: 0,
                     // silcfm-lint: allow(A1) -- lane setup, before the access loop: the buffer is allocated once here and refilled in place by `Lane::take`
                     buf: Vec::new(),
@@ -444,17 +445,24 @@ impl<T: Tracer> System<T> {
                 }
             })
             .collect();
+        // The lane clock: each lane's next issue cycle, `FINISHED` once it
+        // has issued its last record.
+        // silcfm-lint: allow(A1) -- lane setup, before the access loop: the clock is allocated once here and updated in place below
+        let mut next = vec![FINISHED; n];
         for (i, lane) in lanes.iter_mut().enumerate() {
             let pending = lane.take(feed, i);
             lane.core.execute_compute(u64::from(pending.compute));
+            lane.pending = pending;
+            let Some(t) = next.get_mut(i) else {
+                debug_assert!(false, "the lane clock has one slot per lane");
+                continue;
+            };
             // Open-loop arrival stamps floor the issue time; `not_before`
             // is 0 for ordinary records, so `.max` is the identity there.
-            lane.next = Some(
-                lane.core
-                    .issue_time(pending.dependent)
-                    .max(pending.not_before),
-            );
-            lane.pending = pending;
+            *t = lane
+                .core
+                .issue_time(pending.dependent)
+                .max(pending.not_before);
         }
 
         // One outcome reused for every scheme access (the reuse protocol):
@@ -463,15 +471,22 @@ impl<T: Tracer> System<T> {
 
         // Each step services the lane with the smallest (issue time, index)
         // pair — the same order a min-heap would give, but for the handful
-        // of cores a linear scan is cheaper than heap maintenance on every
-        // access. The index comes from `enumerate`, so the re-borrows below
-        // cannot miss; the `else` arms keep the loop panic-free regardless.
-        while let Some((t_sched, i)) = lanes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| l.next.map(|t| (t, i)))
-            .min()
-        {
+        // of cores a linear scan of the lane clock is cheaper than heap
+        // maintenance on every access. The strict `<` keeps the lowest index
+        // among tied lanes. The index comes from `enumerate` over a clock as
+        // long as `lanes`, so the re-borrows below cannot miss; the `else`
+        // arms keep the loop panic-free regardless.
+        loop {
+            let (mut t_sched, mut i) = (FINISHED, 0);
+            for (j, &t) in next.iter().enumerate() {
+                if t < t_sched {
+                    t_sched = t;
+                    i = j;
+                }
+            }
+            if t_sched == FINISHED {
+                break;
+            }
             let Some(lane) = lanes.get_mut(i) else {
                 debug_assert!(false, "scheduler picked a lane index from enumerate");
                 break;
@@ -595,15 +610,20 @@ impl<T: Tracer> System<T> {
             };
             lane.core.execute_memory(completion, rec.dependent);
             lane.remaining -= 1;
-            if lane.remaining > 0 {
+            let t_next = if lane.remaining > 0 {
                 let rec = lane.take(feed, i);
                 lane.core.execute_compute(u64::from(rec.compute));
-                lane.next = Some(lane.core.issue_time(rec.dependent).max(rec.not_before));
                 lane.pending = rec;
+                lane.core.issue_time(rec.dependent).max(rec.not_before)
             } else {
-                lane.next = None;
                 lane.finish_time = lane.core.finish();
-            }
+                FINISHED
+            };
+            let Some(slot) = next.get_mut(i) else {
+                debug_assert!(false, "scheduler picked a lane index from enumerate");
+                break;
+            };
+            *slot = t_next;
         }
 
         SystemOutcome {
@@ -751,6 +771,63 @@ mod tests {
             "NM pages should help: {} vs {}",
             mixed.cycles,
             far.cycles
+        );
+    }
+
+    /// Compute-free loads, each lane walking its own lines: every lane's
+    /// first record is ready at cycle 0.
+    struct StrideFeed {
+        issued: Vec<u64>,
+    }
+
+    impl RecordFeed for StrideFeed {
+        fn next(&mut self, lane: usize) -> TraceRecord {
+            let k = &mut self.issued[lane];
+            *k += 1;
+            TraceRecord::load(0, VirtAddr::new(((lane as u64) << 20) + *k * 64), 0)
+        }
+    }
+
+    /// Records the service order and checks no lane outlives its quota.
+    struct ServiceLog {
+        order: Vec<usize>,
+        serviced: Vec<u64>,
+        quota: u64,
+    }
+
+    impl ServiceTap for ServiceLog {
+        fn on_serviced(&mut self, lane: usize, _: u64, _: u64, _: u64, _: u64) {
+            assert!(
+                self.serviced[lane] < self.quota,
+                "lane {lane} serviced after its last record"
+            );
+            self.serviced[lane] += 1;
+            self.order.push(lane);
+        }
+    }
+
+    #[test]
+    fn tied_lanes_are_serviced_in_index_order() {
+        let cfg = SystemConfig::experiment();
+        let lanes = usize::from(cfg.core.cores);
+        let scheme = Box::new(RandomStatic::new(space()));
+        let mut sys = System::new(cfg, space(), PlacementPolicy::RandomSeeded(1), scheme);
+        let mut feed = StrideFeed {
+            issued: vec![0; lanes],
+        };
+        let quota = 50;
+        let mut log = ServiceLog {
+            order: Vec::new(),
+            serviced: vec![0; lanes],
+            quota,
+        };
+        sys.run_with_feed_tapped(&mut feed, quota, &mut log);
+        assert_eq!(log.order[..lanes], (0..lanes).collect::<Vec<_>>());
+        assert_eq!(log.serviced, vec![quota; lanes]);
+        assert_eq!(
+            feed.issued,
+            vec![quota; lanes],
+            "no record pulled past the quota"
         );
     }
 

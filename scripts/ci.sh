@@ -45,6 +45,13 @@ cargo build --release --workspace --offline
 echo "==> cargo test -q (offline)"
 cargo test -q --workspace --offline
 
+# The benchmark package (simbench/) lives outside the workspace but builds
+# against the simulator crates' public types, so an API change that breaks
+# it fails here, not first in a benchmark run. `--self-test` then runs its
+# replay and correctness checks on a small input (about 25 s with build).
+echo "==> simbench build + self-test (offline)"
+cargo run --release --offline --quiet --manifest-path simbench/Cargo.toml -- --self-test
+
 # Smoke-run the throughput benchmark: a tiny budget exercises the whole
 # measurement path (stream generation, all three layers, every scheme) in
 # a few seconds without writing an artifact or timing the grid. The
