@@ -32,17 +32,17 @@ use std::hash::Hasher;
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use silcfm_fault::{expected_failover_transitions, FaultRates, FaultSchedule, FaultStats};
+use silcfm_fault::{expected_failover_transitions, FaultRates, FaultStats};
+use silcfm_obs::ObsReport;
 use silcfm_serve::{run_serve, Aimd, AimdParams, FailureTimeline, ServeParams};
-use silcfm_sim::experiment::space_for;
 use silcfm_sim::runner::ExperimentGrid;
 use silcfm_sim::{
-    run_faulted, run_faulted_traced, run_grid_journaled, FaultParams, RunParams, RunResult,
-    SchemeKind, TraceParams,
+    run_grid_journaled, run_spec, FaultParams, Observe, RunParams, RunResult, RunSetup, RunSpec,
+    SchemeKind,
 };
-use silcfm_trace::{arrivals, profiles};
+use silcfm_trace::{arrivals, profiles, WorkloadProfile};
 use silcfm_types::obs::Event;
-use silcfm_types::{FxHasher, MemKind, SchemeStats, SystemConfig};
+use silcfm_types::{FxHasher, MemKind, SchemeStats, SilcFmError, SystemConfig};
 
 struct Opts {
     smoke: bool,
@@ -124,6 +124,25 @@ fn aggregate_digest(results: &[RunResult]) -> u64 {
     h.finish()
 }
 
+/// One faulted run of `scheme` on `profile` at `observe`: the result, the
+/// fault ledger, and the report when the tier keeps one.
+fn run_faulted(
+    profile: &WorkloadProfile,
+    scheme: SchemeKind,
+    cfg: &SystemConfig,
+    params: &RunParams,
+    faults: &FaultParams,
+    observe: Observe,
+) -> Result<(RunResult, FaultStats, Option<ObsReport>), SilcFmError> {
+    let spec = RunSpec {
+        observe,
+        faults: Some(*faults),
+    };
+    let out = run_spec(profile, scheme, cfg, params, &spec)?;
+    let stats = out.fault_stats.unwrap_or_default();
+    Ok((out.result, stats, out.report))
+}
+
 /// Phase 1: SILC-FM under harsh rates with the tracer on. The trace stream
 /// and the stats ledger are two independent records of the same run; every
 /// invariant here cross-checks one against the other or against the
@@ -131,7 +150,7 @@ fn aggregate_digest(results: &[RunResult]) -> u64 {
 fn traced_scheme_soak(opts: &Opts, violations: &mut Vec<String>) {
     let cfg = SystemConfig::small();
     let params = RunParams::smoke();
-    let trace = TraceParams {
+    let trace = Observe::Ring {
         events_capacity: 1 << 20,
         epoch_cycles: 100_000,
     };
@@ -157,8 +176,12 @@ fn traced_scheme_soak(opts: &Opts, violations: &mut Vec<String>) {
         };
 
         let (result, stats, report) =
-            match run_faulted_traced(profile, scheme, &cfg, &params, &faults, &trace) {
-                Ok(t) => t,
+            match run_faulted(profile, scheme, &cfg, &params, &faults, trace) {
+                Ok((r, s, Some(report))) => (r, s, report),
+                Ok(_) => {
+                    violations.push(format!("{tag}: the ring tier returned no report"));
+                    continue;
+                }
                 Err(e) => {
                     violations.push(format!("{tag}: run failed: {e}"));
                     continue;
@@ -192,16 +215,10 @@ fn traced_scheme_soak(opts: &Opts, violations: &mut Vec<String>) {
 
             // Failover oracle: replay the delivered prefix of the identical
             // regenerated schedule through the shared hysteresis thresholds.
-            let scaled = profiles::scaled(profile, params.footprint_scale);
-            let space = space_for(&scaled, &cfg, &params);
-            let topo = FaultParams::topology_for(&scheme, space);
-            let schedule = FaultSchedule::generate(
-                faults.fault_seed,
-                faults.horizon_cycles,
-                &faults.rates,
-                &topo,
-            )
-            .expect("rates validated by the run above");
+            let space = RunSetup::new(profile, scheme, &cfg, &params).space;
+            let schedule = faults
+                .schedule_for(&scheme, space)
+                .expect("rates validated by the run above");
             let delivered = stats.injected as usize;
             check(
                 delivered <= schedule.len(),
@@ -228,8 +245,8 @@ fn traced_scheme_soak(opts: &Opts, violations: &mut Vec<String>) {
         }
 
         // Bit-identical replay, trace stream included.
-        match run_faulted_traced(profile, scheme, &cfg, &params, &faults, &trace) {
-            Ok((r2, s2, rep2)) => {
+        match run_faulted(profile, scheme, &cfg, &params, &faults, trace) {
+            Ok((r2, s2, Some(rep2))) => {
                 check(s2 == stats, "fault ledger differs on replay".into());
                 check(
                     r2.cycles == result.cycles && r2.traffic == result.traffic,
@@ -240,6 +257,7 @@ fn traced_scheme_soak(opts: &Opts, violations: &mut Vec<String>) {
                     "trace stream differs on replay".into(),
                 );
             }
+            Ok(_) => violations.push(format!("{tag}: replay returned no report")),
             Err(e) => violations.push(format!("{tag}: replay failed: {e}")),
         }
 
@@ -283,13 +301,14 @@ fn grid_soak(opts: &Opts, violations: &mut Vec<String>) {
                     scheme.label(),
                     faults.fault_seed
                 );
-                let (result, stats) = match run_faulted(profile, scheme, &cfg, &params, &faults) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        violations.push(format!("{tag}: run failed: {e}"));
-                        continue;
-                    }
-                };
+                let (result, stats) =
+                    match run_faulted(profile, scheme, &cfg, &params, &faults, Observe::Off) {
+                        Ok((r, s, _)) => (r, s),
+                        Err(e) => {
+                            violations.push(format!("{tag}: run failed: {e}"));
+                            continue;
+                        }
+                    };
                 if !stats.conserved() {
                     violations.push(format!("{tag}: effect ledger leaks: {stats:?}"));
                 }
@@ -311,8 +330,8 @@ fn grid_soak(opts: &Opts, violations: &mut Vec<String>) {
 
     // Replay the first cell: the whole plane must be deterministic.
     if let Some((faults, scheme, result, stats)) = first {
-        match run_faulted(profile, scheme, &cfg, &params, &faults) {
-            Ok((r2, s2)) => {
+        match run_faulted(profile, scheme, &cfg, &params, &faults, Observe::Off) {
+            Ok((r2, s2, _)) => {
                 if s2 != stats || r2 != result {
                     violations.push("grid: first cell differs on replay".into());
                 }
@@ -399,16 +418,10 @@ fn slo_soak(opts: &Opts, violations: &mut Vec<String>) {
 
         // The audit trail's failure timeline, regenerated from the same
         // seed the run used — byte-identical by the schedule contract.
-        let scaled = profiles::scaled(profile, params.footprint_scale);
-        let space = space_for(&scaled, &cfg, &params);
-        let topo = FaultParams::topology_for(&scheme, space);
-        let schedule = FaultSchedule::generate(
-            faults.fault_seed,
-            faults.horizon_cycles,
-            &faults.rates,
-            &topo,
-        )
-        .expect("rates validated by the run above");
+        let space = RunSetup::new(profile, scheme, &cfg, &params).space;
+        let schedule = faults
+            .schedule_for(&scheme, space)
+            .expect("rates validated by the run above");
         let timeline = FailureTimeline::from_faults(schedule.faults());
 
         // Every NACK-audited request must pin to a real failure interval of

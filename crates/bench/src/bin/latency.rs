@@ -18,8 +18,8 @@
 //!   --no-write    measure and print, but do not write the JSON
 
 use silcfm_obs::{LatencyBreakdown, QuantileSketch};
-use silcfm_sim::runner::{default_threads, run_grid_traced, ExperimentGrid};
-use silcfm_sim::{RunParams, SchemeKind, TraceParams};
+use silcfm_sim::runner::{default_threads, run_grid_spec, ExperimentGrid};
+use silcfm_sim::{Observe, RunParams, RunSpec, SchemeKind};
 use silcfm_trace::profiles;
 use silcfm_types::{AccessClass, SystemConfig};
 
@@ -96,9 +96,12 @@ fn main() {
     } else {
         (SystemConfig::experiment(), RunParams::quick(), "quick")
     };
-    let trace = TraceParams {
-        events_capacity: EVENTS_CAPACITY,
-        ..TraceParams::default_capture()
+    let spec = RunSpec {
+        observe: Observe::Ring {
+            events_capacity: EVENTS_CAPACITY,
+            epoch_cycles: Observe::CAPTURE_EPOCH_CYCLES,
+        },
+        faults: None,
     };
     let workloads: Vec<&str> = if opts.smoke {
         SMOKE_WORKLOADS.to_vec()
@@ -119,13 +122,16 @@ fn main() {
         grid = grid.workload(profiles::by_name(name).expect("known workload"));
     }
     let jobs = grid.schemes(kinds.iter().copied()).jobs();
-    let results = run_grid_traced(&jobs, &trace, default_threads());
+    let results = run_grid_spec(&jobs, &spec, default_threads()).expect("fault-free grid");
 
     // Results are workload-major in `kinds` order (the grid contract).
     let per_scheme: Vec<Vec<&LatencyBreakdown>> = (0..kinds.len())
         .map(|s| {
             (0..workloads.len())
-                .map(|w| &results[w * kinds.len() + s].1.latency)
+                .map(|w| {
+                    let out = &results[w * kinds.len() + s];
+                    &out.report.as_ref().expect("the ring tier reports").latency
+                })
                 .collect()
         })
         .collect();

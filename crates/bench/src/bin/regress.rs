@@ -30,7 +30,7 @@
 use std::time::Instant;
 
 use silcfm_obs::json;
-use silcfm_sim::{run, run_traced, RunParams, SchemeKind, TraceParams};
+use silcfm_sim::{run_spec, Observe, RunParams, RunSpec, SchemeKind};
 use silcfm_trace::profiles;
 use silcfm_types::SystemConfig;
 
@@ -104,9 +104,16 @@ const METRICS: [&str; 6] = [
     "ratio_fs_silcfm_over_rand",
 ];
 
-/// Accesses/sec for one scheme through the full `System::run` pipeline,
-/// one round (the caller interleaves regimes and keeps the best).
-fn fs_rate(kind: SchemeKind, cfg: &SystemConfig, params: &RunParams, per_profile: u64) -> f64 {
+/// Accesses/sec for one scheme through the full `System::run` pipeline
+/// with `spec`'s observability tier live, one round (the caller
+/// interleaves regimes and keeps the best).
+fn fs_rate(
+    kind: SchemeKind,
+    cfg: &SystemConfig,
+    params: &RunParams,
+    per_profile: u64,
+    spec: &RunSpec,
+) -> f64 {
     let cores = u64::from(cfg.core.cores);
     let p = RunParams {
         accesses_per_core: (per_profile / cores).max(1),
@@ -116,33 +123,9 @@ fn fs_rate(kind: SchemeKind, cfg: &SystemConfig, params: &RunParams, per_profile
     let mut elapsed = 0.0f64;
     for profile in profiles::all() {
         let t0 = Instant::now();
-        let r = run(profile, kind, cfg, &p);
+        let out = run_spec(profile, kind, cfg, &p, spec).expect("fault-free run");
         elapsed += t0.elapsed().as_secs_f64();
-        std::hint::black_box(r.cycles);
-        total += p.accesses_per_core * cores;
-    }
-    total as f64 / elapsed
-}
-
-/// [`fs_rate`] with the full observability stack live — ring tracers,
-/// epoch sampler, and the latency-percentile sketches.
-fn fs_traced_rate(cfg: &SystemConfig, params: &RunParams, per_profile: u64) -> f64 {
-    let cores = u64::from(cfg.core.cores);
-    let p = RunParams {
-        accesses_per_core: (per_profile / cores).max(1),
-        ..*params
-    };
-    let trace = TraceParams {
-        events_capacity: EVENTS_CAPACITY,
-        ..TraceParams::default_capture()
-    };
-    let mut total = 0u64;
-    let mut elapsed = 0.0f64;
-    for profile in profiles::all() {
-        let t0 = Instant::now();
-        let (r, report) = run_traced(profile, SchemeKind::silcfm(), cfg, &p, &trace);
-        elapsed += t0.elapsed().as_secs_f64();
-        std::hint::black_box((r.cycles, report.latency.count()));
+        std::hint::black_box(&out);
         total += p.accesses_per_core * cores;
     }
     total as f64 / elapsed
@@ -160,11 +143,22 @@ fn measure(budget: u64, repeats: u32) -> Vec<f64> {
     let mut fs_rand = 0.0f64;
     let mut fs_silcfm = 0.0f64;
     let mut fs_traced = 0.0f64;
+    let untraced = RunSpec::default();
+    // The full observability stack: ring tracers, epoch sampler, and the
+    // latency-percentile sketches.
+    let traced = RunSpec {
+        observe: Observe::Ring {
+            events_capacity: EVENTS_CAPACITY,
+            epoch_cycles: Observe::CAPTURE_EPOCH_CYCLES,
+        },
+        faults: None,
+    };
+    let rate = |kind, spec| fs_rate(kind, &cfg, &params, per_profile, spec);
     for _ in 0..repeats {
-        fs_base = fs_base.max(fs_rate(SchemeKind::NoNm, &cfg, &params, per_profile));
-        fs_rand = fs_rand.max(fs_rate(SchemeKind::Rand, &cfg, &params, per_profile));
-        fs_silcfm = fs_silcfm.max(fs_rate(SchemeKind::silcfm(), &cfg, &params, per_profile));
-        fs_traced = fs_traced.max(fs_traced_rate(&cfg, &params, per_profile));
+        fs_base = fs_base.max(rate(SchemeKind::NoNm, &untraced));
+        fs_rand = fs_rand.max(rate(SchemeKind::Rand, &untraced));
+        fs_silcfm = fs_silcfm.max(rate(SchemeKind::silcfm(), &untraced));
+        fs_traced = fs_traced.max(rate(SchemeKind::silcfm(), &traced));
     }
     vec![
         fs_base,

@@ -37,8 +37,8 @@ use std::path::Path;
 
 use silcfm_fault::FaultRates;
 use silcfm_serve::{
-    journal, run_serve, search_digest, Aimd, AimdParams, ServeParams, ServeReport,
-    SloJournalWriter, TrialRecord,
+    run_serve, search_digest, Aimd, AimdParams, ServeParams, ServeReport, SloJournalWriter,
+    TrialCodec, TrialRecord,
 };
 use silcfm_sim::{FaultParams, RunParams, SchemeKind};
 use silcfm_trace::arrivals::{self, ArrivalProfile};
@@ -353,7 +353,8 @@ fn main() {
     let digest = search_digest(&spec_text);
     let (mut writer, replayed) = match (&opts.journal, opts.resume) {
         (Some(p), true) => {
-            let (w, done) = journal::resume(Path::new(p), digest).expect("resume SLO journal");
+            let (w, done) = silcfm_sim::journal::resume::<TrialCodec>(Path::new(p), digest)
+                .expect("resume SLO journal");
             println!("slo: resumed {} finished trials from {p}", done.len());
             (Some(w), done)
         }

@@ -51,8 +51,7 @@ use std::time::Instant;
 
 use silcfm_sim::experiment::space_for;
 use silcfm_sim::{
-    run, run_grid, run_grid_serial, run_metrics_only, run_sampled_lean, run_traced, ExperimentGrid,
-    RunParams, SchemeKind, TraceParams,
+    run_grid, run_grid_serial, run_spec, ExperimentGrid, Observe, RunParams, RunSpec, SchemeKind,
 };
 use silcfm_trace::{profiles, PageMapper, PlacementPolicy, WorkloadGen};
 use silcfm_types::{Access, BatchOutcome, CoreId, FxHasher, MemKind, MemOp, SystemConfig};
@@ -312,13 +311,29 @@ fn batch_digest_gate(
     );
 }
 
-/// Accesses/sec for one scheme through the full `System::run` pipeline.
+/// Accesses/sec for one scheme through the full `System::run` pipeline
+/// with `spec`'s observability tier live. Against the untraced
+/// (`Observe::Off`) rate, the gap is the price of the tier:
+///
+/// * `Ring` — ring tracers on the controller and both DRAM devices, the
+///   demand-latency histograms and the epoch sampler (the NullTracer
+///   build pays nothing: the emit sites monomorphize away);
+/// * `Metrics` — only the metrics plane: the per-class latency quantile
+///   sketches, histograms and epoch sampler populate but no event is
+///   buffered — the "sketches ON vs OFF" number, designed to stay under a
+///   few percent;
+/// * `Sampled` without an epoch — the sampling tier's always-on
+///   configuration: exact per-kind counters on every event, full events
+///   retained one-in-`period`, and no epoch sampler or histograms (those
+///   are capture-session apparatus, the `--sampling` path of
+///   `trace_capture`).
 fn full_system_rate(
     kind: SchemeKind,
     cfg: &SystemConfig,
     params: &RunParams,
     per_profile: u64,
     repeats: u32,
+    spec: &RunSpec,
 ) -> f64 {
     let cores = u64::from(cfg.core.cores);
     let p = RunParams {
@@ -331,127 +346,9 @@ fn full_system_rate(
         let mut elapsed = 0.0f64;
         for profile in profiles::all() {
             let t0 = Instant::now();
-            let r = run(profile, kind, cfg, &p);
+            let out = run_spec(profile, kind, cfg, &p, spec).expect("fault-free run");
             elapsed += t0.elapsed().as_secs_f64();
-            std::hint::black_box(r.cycles);
-            total += p.accesses_per_core * cores;
-        }
-        best = best.max(total as f64 / elapsed);
-    }
-    best
-}
-
-/// Accesses/sec for one scheme through `System::run` with the full
-/// observability stack live: ring tracers on the controller and both DRAM
-/// devices, the demand-latency histograms, and the epoch sampler. The gap
-/// against [`full_system_rate`] is the price of turning tracing on; the
-/// NullTracer build pays nothing (the emit sites monomorphize away).
-fn full_system_traced_rate(
-    kind: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    per_profile: u64,
-    repeats: u32,
-) -> f64 {
-    let cores = u64::from(cfg.core.cores);
-    let p = RunParams {
-        accesses_per_core: (per_profile / cores).max(1),
-        ..*params
-    };
-    let trace = TraceParams {
-        events_capacity: OVERHEAD_EVENTS_CAPACITY,
-        ..TraceParams::default_capture()
-    };
-    let mut best = 0.0f64;
-    for _ in 0..repeats {
-        let mut total = 0u64;
-        let mut elapsed = 0.0f64;
-        for profile in profiles::all() {
-            let t0 = Instant::now();
-            let (r, report) = run_traced(profile, kind, cfg, &p, &trace);
-            elapsed += t0.elapsed().as_secs_f64();
-            std::hint::black_box((r.cycles, report.event_count()));
-            total += p.accesses_per_core * cores;
-        }
-        best = best.max(total as f64 / elapsed);
-    }
-    best
-}
-
-/// Accesses/sec for one scheme through `System::run` with only the
-/// metrics plane live: the per-class latency quantile sketches, the
-/// demand-latency histograms and the epoch sampler populate, but no event
-/// is buffered anywhere (`MetricsOnlyTracer` no-ops `record`, and the
-/// controller runs its untraced build). The gap against
-/// [`full_system_rate`] is the price of the latency-percentile plane
-/// itself — the "sketches ON vs OFF" number — which the plane is designed
-/// to keep under a few percent.
-fn full_system_metrics_rate(
-    kind: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    per_profile: u64,
-    repeats: u32,
-) -> f64 {
-    let cores = u64::from(cfg.core.cores);
-    let p = RunParams {
-        accesses_per_core: (per_profile / cores).max(1),
-        ..*params
-    };
-    let trace = TraceParams {
-        events_capacity: OVERHEAD_EVENTS_CAPACITY,
-        ..TraceParams::default_capture()
-    };
-    let mut best = 0.0f64;
-    for _ in 0..repeats {
-        let mut total = 0u64;
-        let mut elapsed = 0.0f64;
-        for profile in profiles::all() {
-            let t0 = Instant::now();
-            let (r, report) = run_metrics_only(profile, kind, cfg, &p, &trace);
-            elapsed += t0.elapsed().as_secs_f64();
-            std::hint::black_box((r.cycles, report.latency.count()));
-            total += p.accesses_per_core * cores;
-        }
-        best = best.max(total as f64 / elapsed);
-    }
-    best
-}
-
-/// Accesses/sec for one scheme through `System::run` with the sampling
-/// tracer tier live in its always-on configuration: exact per-kind
-/// counters on every controller and DRAM event, full events retained
-/// one-in-`period`, and *no* epoch sampler or latency histograms (those
-/// are capture-session apparatus — `run_sampled` pays them too, the
-/// `--sampling` capture path in `trace_capture`). The gap against
-/// [`full_system_rate`] is the always-on observability cost the tier is
-/// built to keep under a few percent.
-fn full_system_sampled_rate(
-    kind: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    per_profile: u64,
-    repeats: u32,
-    period: u64,
-) -> f64 {
-    let cores = u64::from(cfg.core.cores);
-    let p = RunParams {
-        accesses_per_core: (per_profile / cores).max(1),
-        ..*params
-    };
-    let trace = TraceParams {
-        events_capacity: OVERHEAD_EVENTS_CAPACITY,
-        ..TraceParams::default_capture()
-    };
-    let mut best = 0.0f64;
-    for _ in 0..repeats {
-        let mut total = 0u64;
-        let mut elapsed = 0.0f64;
-        for profile in profiles::all() {
-            let t0 = Instant::now();
-            let (r, counters) = run_sampled_lean(profile, kind, cfg, &p, &trace, period);
-            elapsed += t0.elapsed().as_secs_f64();
-            std::hint::black_box((r.cycles, counters));
+            std::hint::black_box(&out);
             total += p.accesses_per_core * cores;
         }
         best = best.max(total as f64 / elapsed);
@@ -569,7 +466,14 @@ fn main() {
         batch_digest_gate(kind, &streams, opts.batch);
         let so = scheme_only_rate(kind, &streams, opts.repeats);
         let sb = scheme_only_batched_rate(kind, &streams, opts.batch, opts.repeats);
-        let fs = full_system_rate(kind, &cfg, &params, per_profile, opts.repeats);
+        let fs = full_system_rate(
+            kind,
+            &cfg,
+            &params,
+            per_profile,
+            opts.repeats,
+            &RunSpec::default(),
+        );
         println!("{:8} {:>18.0} {:>18.0} {:>18.0}", kind.label(), so, sb, fs);
         scheme_only.push((kind.label(), so));
         scheme_only_batched.push((kind.label(), sb));
@@ -595,19 +499,28 @@ fn main() {
             .iter()
             .map(|&period| (period, 0.0))
             .collect();
+        let rate = |observe| {
+            let spec = RunSpec {
+                observe,
+                faults: None,
+            };
+            full_system_rate(kind, &cfg, &params, per_profile, 1, &spec)
+        };
+        let epoch_cycles = Observe::CAPTURE_EPOCH_CYCLES;
         for _ in 0..opts.repeats.max(1) {
-            off = off.max(full_system_rate(kind, &cfg, &params, per_profile, 1));
-            on = on.max(full_system_traced_rate(kind, &cfg, &params, per_profile, 1));
-            metrics = metrics.max(full_system_metrics_rate(
-                kind,
-                &cfg,
-                &params,
-                per_profile,
-                1,
-            ));
+            off = off.max(rate(Observe::Off));
+            on = on.max(rate(Observe::Ring {
+                events_capacity: OVERHEAD_EVENTS_CAPACITY,
+                epoch_cycles,
+            }));
+            metrics = metrics.max(rate(Observe::Metrics { epoch_cycles }));
             for entry in &mut sampled {
-                let rate = full_system_sampled_rate(kind, &cfg, &params, per_profile, 1, entry.0);
-                entry.1 = entry.1.max(rate);
+                let sampled_rate = rate(Observe::Sampled {
+                    events_capacity: OVERHEAD_EVENTS_CAPACITY,
+                    period: entry.0,
+                    epoch_cycles: None,
+                });
+                entry.1 = entry.1.max(sampled_rate);
             }
         }
         println!(

@@ -1,8 +1,8 @@
 //! Captures a fully traced run and exports the observability artifacts.
 //!
-//! Runs one (workload, scheme) pair through [`silcfm_sim::run_traced`] —
-//! the full system with ring tracers on the controller and both DRAM
-//! devices plus the epoch time-series sampler — then writes:
+//! Runs one (workload, scheme) pair through [`silcfm_sim::run_spec`] on
+//! the ring tier — the full system with ring tracers on the controller and
+//! both DRAM devices plus the epoch time-series sampler — then writes:
 //!
 //! * `--trace PATH` — Chrome trace-event JSON, loadable in
 //!   `chrome://tracing` or <https://ui.perfetto.dev> (timestamps are raw
@@ -29,7 +29,7 @@
 //!                     ring unchanged.
 
 use silcfm_obs::export;
-use silcfm_sim::{run_sampled, run_traced, RunParams, SchemeKind, TraceParams};
+use silcfm_sim::{run_spec, Observe, RunParams, RunSpec, SchemeKind};
 use silcfm_trace::profiles;
 use silcfm_types::obs::EVENT_KIND_LABELS;
 use silcfm_types::SystemConfig;
@@ -56,7 +56,6 @@ fn usage() -> ! {
 }
 
 fn parse_args() -> Options {
-    let defaults = TraceParams::default_capture();
     let mut opts = Options {
         workload: "mcf".to_string(),
         scheme: "silcfm".to_string(),
@@ -64,8 +63,8 @@ fn parse_args() -> Options {
         metrics_out: None,
         summary: false,
         smoke: false,
-        epoch: defaults.epoch_cycles,
-        capacity: defaults.events_capacity,
+        epoch: Observe::CAPTURE_EPOCH_CYCLES,
+        capacity: Observe::CAPTURE_EVENTS,
         sampling: None,
     };
     let mut args = std::env::args().skip(1);
@@ -140,38 +139,45 @@ fn main() {
     } else {
         (SystemConfig::experiment(), RunParams::quick())
     };
-    let trace = TraceParams {
-        events_capacity: opts.capacity,
-        epoch_cycles: opts.epoch,
-    };
 
     println!(
         "trace_capture: workload={} scheme={} accesses/core={} epoch={} capacity={}{}",
         profile.name,
         opts.scheme,
         params.accesses_per_core,
-        trace.epoch_cycles,
-        trace.events_capacity,
+        opts.epoch,
+        opts.capacity,
         match opts.sampling {
             Some(period) => format!(" sampling=1-in-{period}"),
             None => String::new(),
         }
     );
-    let (result, report) = match opts.sampling {
-        Some(period) => {
-            let (result, report, counters) =
-                run_sampled(profile, scheme, &cfg, &params, &trace, period);
-            let total: u64 = counters.iter().sum();
-            println!("controller event counters ({total} events, exact):");
-            for (label, count) in EVENT_KIND_LABELS.iter().zip(counters.iter()) {
-                if *count > 0 {
-                    println!("  {label:<18} {count}");
-                }
-            }
-            (result, report)
-        }
-        None => run_traced(profile, scheme, &cfg, &params, &trace),
+    let observe = match opts.sampling {
+        Some(period) => Observe::Sampled {
+            events_capacity: opts.capacity,
+            period,
+            epoch_cycles: Some(opts.epoch),
+        },
+        None => Observe::Ring {
+            events_capacity: opts.capacity,
+            epoch_cycles: opts.epoch,
+        },
     };
+    let spec = RunSpec {
+        observe,
+        faults: None,
+    };
+    let out = run_spec(profile, scheme, &cfg, &params, &spec).expect("fault-free run");
+    if let Some(counters) = out.counters {
+        let total: u64 = counters.iter().sum();
+        println!("controller event counters ({total} events, exact):");
+        for (label, count) in EVENT_KIND_LABELS.iter().zip(counters.iter()) {
+            if *count > 0 {
+                println!("  {label:<18} {count}");
+            }
+        }
+    }
+    let (result, report) = (out.result, out.report.expect("a capture tier reports"));
     println!(
         "run: {} cycles, access rate {:.3}, {} events captured, {} dropped",
         result.cycles,

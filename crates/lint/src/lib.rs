@@ -129,7 +129,7 @@ pub const ORDER_SINK_FNS: &[&str] = &["merge", "digest", "grid_digest"];
 /// Order-sensitive sink *files* (N1): every fn in them serializes or
 /// folds — crash-journal encoding, the export formatters, and the
 /// quantile sketches (whose merges must be order-invariant to the byte
-/// for the grid/journaled percentile plane, DESIGN.md §14).
+/// for the grid percentile plane, DESIGN.md §14).
 pub const ORDER_SINK_FILES: &[&str] = &[
     "crates/sim/src/journal.rs",
     "crates/serve/src/journal.rs",

@@ -9,24 +9,21 @@
 //! regulator is a pure state machine over its observations) and the search
 //! continues byte-identically to an uninterrupted run.
 //!
-//! Format, one line per record:
+//! The file follows the workspace journal contract of
+//! [`silcfm_sim::journal`] (header digest, flushed appends, a torn final
+//! line healed away, a malformed interior line an error); this module only
+//! supplies the line format, [`TrialCodec`]:
 //!
 //! * header `silcfm-slo-journal v1 grid=<hex>`, binding the journal to one
 //!   search grid (schemes × arrival profiles × parameters);
 //! * `trial <search> <trial> <rate> <offered> <admitted> <completed>
 //!   <shed> <timed_out> <failed> <retries> <p99> <met>` per finished
 //!   trial, appended and flushed before the next trial starts.
-//!
-//! The reader follows the workspace journal contract (`sim::journal`): a
-//! torn final line is a crash artifact and is healed away with `set_len`;
-//! a malformed interior line is corruption and an error.
 
-use std::fs::{File, OpenOptions};
 use std::hash::{Hash, Hasher};
-use std::io::{BufWriter, Read as _, Write as _};
-use std::path::Path;
 
-use silcfm_types::{FxHasher, SilcFmError};
+use silcfm_sim::journal::{Codec, JournalWriter};
+use silcfm_types::FxHasher;
 
 use crate::ledger::RequestLedger;
 
@@ -57,172 +54,87 @@ pub struct TrialRecord {
     pub met: bool,
 }
 
-fn encode(r: &TrialRecord) -> String {
-    let l = &r.ledger;
-    format!(
-        "trial {} {} {} {} {} {} {} {} {} {} {} {}",
-        r.search,
-        r.trial,
-        r.rate,
-        l.offered,
-        l.admitted,
-        l.completed,
-        l.shed,
-        l.timed_out,
-        l.failed,
-        l.retries,
-        r.p99,
-        u8::from(r.met),
-    )
-}
-
-/// Parses one `trial` line (sans the leading token). `None` on any
-/// shortfall — torn tail or corruption, the caller's call.
-fn decode(tokens: &[&str]) -> Option<TrialRecord> {
-    let mut it = tokens.iter();
-    let mut int = || it.next()?.parse::<u64>().ok();
-    let search = int()? as usize;
-    let trial = int()? as u32;
-    let rate = int()?;
-    let ledger = RequestLedger {
-        offered: int()?,
-        admitted: int()?,
-        completed: int()?,
-        shed: int()?,
-        timed_out: int()?,
-        failed: int()?,
-        retries: int()?,
-    };
-    let p99 = int()?;
-    let met = match int()? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    if it.next().is_some() {
-        return None; // trailing junk: treat as malformed
-    }
-    Some(TrialRecord {
-        search,
-        trial,
-        rate,
-        ledger,
-        p99,
-        met,
-    })
-}
-
-fn header_line(digest: u64) -> String {
-    format!("silcfm-slo-journal v1 grid={digest:016x}")
-}
-
-/// The write side: created fresh or reopened by [`resume`], appends one
-/// flushed line per finished trial.
+/// The SLO journal's line format: one `trial` line per [`TrialRecord`].
 #[derive(Debug)]
-pub struct SloJournalWriter {
-    out: BufWriter<File>,
-}
+pub struct TrialCodec;
 
-impl SloJournalWriter {
-    /// Creates (truncating) a journal for a search grid and writes the
-    /// header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SilcFmError::Journal`] on any I/O failure.
-    pub fn create(path: &Path, digest: u64) -> Result<Self, SilcFmError> {
-        let file = File::create(path)?;
-        let mut out = BufWriter::new(file);
-        writeln!(out, "{}", header_line(digest))?;
-        out.flush()?;
-        Ok(Self { out })
+/// The SLO journal's write side; [`silcfm_sim::journal::resume`] reopens
+/// one.
+pub type SloJournalWriter = JournalWriter<TrialCodec>;
+
+impl Codec for TrialCodec {
+    type Record = TrialRecord;
+    const TAG: &'static str = "silcfm-slo-journal v1";
+    const NAME: &'static str = "SLO journal";
+    const GRID: &'static str = "search grid";
+
+    fn encode(r: &TrialRecord) -> String {
+        let l = &r.ledger;
+        format!(
+            "trial {} {} {} {} {} {} {} {} {} {} {} {}",
+            r.search,
+            r.trial,
+            r.rate,
+            l.offered,
+            l.admitted,
+            l.completed,
+            l.shed,
+            l.timed_out,
+            l.failed,
+            l.retries,
+            r.p99,
+            u8::from(r.met),
+        )
     }
 
-    /// Appends one finished trial and flushes, so a crash after this call
-    /// never loses the record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SilcFmError::Journal`] on any I/O failure.
-    pub fn append(&mut self, record: &TrialRecord) -> Result<(), SilcFmError> {
-        writeln!(self.out, "{}", encode(record))?;
-        self.out.flush()?;
-        Ok(())
-    }
-}
-
-/// Reads a journal back: validates the header against `digest`, returns
-/// the finished trials in append order, heals a torn tail with `set_len`,
-/// and reopens the file for appending.
-///
-/// # Errors
-///
-/// Returns [`SilcFmError::Journal`] when the file is unreadable, the
-/// header names a different search grid, or an interior line is malformed.
-pub fn resume(
-    path: &Path,
-    digest: u64,
-) -> Result<(SloJournalWriter, Vec<TrialRecord>), SilcFmError> {
-    let mut text = String::new();
-    File::open(path)?.read_to_string(&mut text)?;
-    // Bytes past the last newline are the in-flight record of a crash.
-    let complete_up_to = text.rfind('\n').map_or(0, |i| i + 1);
-    let body = &text[..complete_up_to];
-    let header_end = body
-        .find('\n')
-        .map(|i| i + 1)
-        .ok_or_else(|| SilcFmError::journal("SLO journal is empty (no header line)"))?;
-    let header = body[..header_end].trim_end();
-    if header != header_line(digest) {
-        return Err(SilcFmError::journal(format!(
-            "SLO journal belongs to a different search grid: found {header:?}, expected {:?}",
-            header_line(digest)
-        )));
-    }
-    let mut done = Vec::new();
-    let mut valid_up_to = header_end;
-    let mut offset = header_end;
-    let mut rest = body[header_end..].split_inclusive('\n').peekable();
-    while let Some(raw) = rest.next() {
-        let line = raw.trim_end_matches('\n');
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        let parsed = match tokens.split_first() {
-            Some((&"trial", fields)) => decode(fields),
-            _ => None,
+    fn decode(tokens: &[&str]) -> Option<TrialRecord> {
+        let (&"trial", fields) = tokens.split_first()? else {
+            return None;
         };
-        offset += raw.len();
-        match parsed {
-            Some(record) => {
-                done.push(record);
-                valid_up_to = offset;
-            }
-            // A malformed *last* line can be a crash artifact and is
-            // dropped; a malformed interior line means corruption.
-            None if rest.peek().is_none() => break,
-            None => {
-                return Err(SilcFmError::journal(format!(
-                    "malformed SLO journal line: {line:?}"
-                )))
-            }
+        let mut it = fields.iter();
+        let mut int = || it.next()?.parse::<u64>().ok();
+        let search = int()? as usize;
+        let trial = int()? as u32;
+        let rate = int()?;
+        let ledger = RequestLedger {
+            offered: int()?,
+            admitted: int()?,
+            completed: int()?,
+            shed: int()?,
+            timed_out: int()?,
+            failed: int()?,
+            retries: int()?,
+        };
+        let p99 = int()?;
+        let met = match int()? {
+            0 => false,
+            1 => true,
+            _ => return None,
+        };
+        if it.next().is_some() {
+            return None; // trailing junk: treat as malformed
         }
+        Some(TrialRecord {
+            search,
+            trial,
+            rate,
+            ledger,
+            p99,
+            met,
+        })
     }
-    if valid_up_to < text.len() {
-        // Heal the crash damage so appended records start on a fresh line.
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_up_to as u64)?;
-    }
-    let file = OpenOptions::new().append(true).open(path)?;
-    Ok((
-        SloJournalWriter {
-            out: BufWriter::new(file),
-        },
-        done,
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
+    use std::path::Path;
+
+    fn resume(path: &Path, digest: u64) -> Result<(SloJournalWriter, Vec<TrialRecord>), String> {
+        silcfm_sim::journal::resume(path, digest).map_err(|e| e.to_string())
+    }
 
     fn record(search: usize, trial: u32, rate: u64, met: bool) -> TrialRecord {
         TrialRecord {
@@ -302,7 +214,7 @@ mod tests {
         drop(w);
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         writeln!(f, "trial zzz corrupt").unwrap();
-        writeln!(f, "{}", encode(&record(0, 1, 26, false))).unwrap();
+        writeln!(f, "{}", TrialCodec::encode(&record(0, 1, 26, false))).unwrap();
         drop(f);
         let err = resume(&path, 5).unwrap_err();
         assert!(err.to_string().contains("malformed"), "{err}");

@@ -56,7 +56,7 @@ pub mod regulator;
 pub mod runner;
 pub mod tracker;
 
-pub use journal::{search_digest, SloJournalWriter, TrialRecord};
+pub use journal::{search_digest, SloJournalWriter, TrialCodec, TrialRecord};
 pub use ledger::RequestLedger;
 pub use plan::{plan_lane, LanePlan, ServeLaneGen, ServeParams, ServeSource};
 pub use regulator::{Aimd, AimdParams};

@@ -8,10 +8,11 @@
 //! timeline. Consequently the whole [`ServeReport`] (ledger, sketch, epoch
 //! series) is reproducible byte for byte, which the golden digest pins.
 
-use silcfm_fault::{FaultDriver, FaultSchedule, FaultStats};
-use silcfm_sim::{FaultParams, RunParams, SchemeKind, StreamFeed, System};
+use silcfm_fault::{FaultDriver, FaultStats};
+use silcfm_sim::{FaultParams, RunParams, RunSetup, SchemeKind, StreamFeed};
 use silcfm_trace::arrivals::ArrivalProfile;
-use silcfm_trace::{profiles, WorkloadProfile};
+use silcfm_trace::WorkloadProfile;
+use silcfm_types::obs::NullTracer;
 use silcfm_types::{SchemeStats, SilcFmError, SystemConfig};
 
 use crate::plan::{plan_lane, LanePlan, ServeParams, ServeSource};
@@ -90,10 +91,7 @@ pub fn run_serve(
     rate_per_m: u64,
     faults: Option<&FaultParams>,
 ) -> Result<ServeReport, SilcFmError> {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = silcfm_sim::experiment::space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-
+    let setup = RunSetup::new(profile, scheme, cfg, params);
     let plans = plan_trial(
         arrival,
         rate_per_m,
@@ -102,19 +100,11 @@ pub fn run_serve(
         params.accesses_per_core,
         serve,
     );
-
-    let mut system = System::new(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build(space, total_accesses),
-    );
+    let mut system = setup.system(NullTracer, || NullTracer, None);
 
     let (timeline, scheduled) = match faults {
         Some(f) => {
-            let topo = FaultParams::topology_for(&scheme, space);
-            let schedule =
-                FaultSchedule::generate(f.fault_seed, f.horizon_cycles, &f.rates, &topo)?;
+            let schedule = f.schedule_for(&scheme, setup.space)?;
             let timeline = FailureTimeline::from_faults(schedule.faults());
             let scheduled = schedule.faults().len();
             system.set_fault_driver(FaultDriver::new(schedule));
@@ -124,7 +114,7 @@ pub fn run_serve(
     };
 
     let mut tracker = RequestTracker::new(&plans, serve, timeline);
-    let source = ServeSource::new(&scaled, &plans, serve, params.seed);
+    let source = ServeSource::new(&setup.scaled, &plans, serve, params.seed);
     let mut feed = StreamFeed::new(&source, usize::from(cfg.core.cores));
     let outcome = system.run_with_feed_tapped(&mut feed, params.accesses_per_core, &mut tracker);
 
@@ -146,7 +136,7 @@ pub fn run_serve(
 mod tests {
     use super::*;
     use silcfm_fault::FaultRates;
-    use silcfm_trace::arrivals;
+    use silcfm_trace::{arrivals, profiles};
 
     fn base() -> (
         &'static WorkloadProfile,

@@ -5,7 +5,8 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use silcfm_serve::{journal, Aimd, AimdParams, RequestLedger, SloJournalWriter, TrialRecord};
+use silcfm_serve::{Aimd, AimdParams, RequestLedger, SloJournalWriter, TrialCodec, TrialRecord};
+use silcfm_sim::journal::resume;
 
 const DIGEST: u64 = 0x517c_f00d;
 
@@ -99,7 +100,7 @@ fn killed_search_resumes_byte_identically_at_every_cut() {
 
         // Phase 2: resume. The torn tail is healed, the finished trials
         // replay, and the completed search matches the reference exactly.
-        let (mut w, resumed) = journal::resume(&path, DIGEST).unwrap();
+        let (mut w, resumed) = resume::<TrialCodec>(&path, DIGEST).unwrap();
         assert_eq!(resumed, reference[..cut].to_vec(), "cut {cut}: replay set");
         let finished = run_search(&mut w, &resumed);
         drop(w);
@@ -107,7 +108,7 @@ fn killed_search_resumes_byte_identically_at_every_cut() {
 
         // The healed journal now holds the full search: a second resume
         // replays everything with nothing left to run.
-        let (_w, full) = journal::resume(&path, DIGEST).unwrap();
+        let (_w, full) = resume::<TrialCodec>(&path, DIGEST).unwrap();
         assert_eq!(full, reference, "cut {cut}: journal contents diverged");
     }
 }

@@ -7,12 +7,12 @@ use silcfm_dram::DramConfig;
 use silcfm_fault::{FaultDriver, FaultRates, FaultSchedule, FaultStats, FaultTopology};
 use silcfm_obs::{MetricsOnlyTracer, ObsReport, RingTracer, SamplingTracer};
 use silcfm_trace::{profiles, PlacementPolicy, WorkloadProfile};
-use silcfm_types::obs::{Tracer, EVENT_KINDS};
+use silcfm_types::obs::{NullTracer, Tracer, EVENT_KINDS};
 use silcfm_types::{AddressSpace, Geometry, MemoryScheme, SilcFmError, SystemConfig};
 
 use crate::metrics::RunResult;
 use crate::observe::RunObs;
-use crate::system::{System, SystemOutcome};
+use crate::system::System;
 
 /// Which placement scheme to simulate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,7 +63,7 @@ impl SchemeKind {
     }
 
     /// Instantiates the scheme over `space` for a run of `total_accesses`
-    /// memory accesses.
+    /// memory accesses, untraced.
     ///
     /// The paper's time constants (HMA's epoch, SILC-FM's 1 M-access aging
     /// period, PoM's counter decay) are proportions of a 16-billion-
@@ -71,6 +71,19 @@ impl SchemeKind {
     /// simulated run so reduced runs exercise the same number of epochs and
     /// agings as the full-length ones.
     pub fn build(&self, space: AddressSpace, total_accesses: u64) -> Box<dyn MemoryScheme> {
+        self.build_with_tracer(space, total_accesses, NullTracer)
+    }
+
+    /// [`SchemeKind::build`] with a SILC-FM controller recording its
+    /// observability events into `tracer` (a ring or sampling tier).
+    /// Baseline schemes have no controller-side emit points and build
+    /// unchanged (their trace hooks are the [`MemoryScheme`] defaults).
+    pub fn build_with_tracer<T: Tracer + 'static>(
+        &self,
+        space: AddressSpace,
+        total_accesses: u64,
+        tracer: T,
+    ) -> Box<dyn MemoryScheme> {
         let period = (total_accesses / 16).max(1_000);
         match self {
             Self::NoNm | Self::Rand => Box::new(RandomStatic::new(space)),
@@ -104,54 +117,12 @@ impl SchemeKind {
                     ..PomParams::default()
                 },
             )),
-            Self::SilcFm(params) => Box::new(SilcFm::new(
-                space,
-                Geometry::paper(),
-                Self::scale_silcfm(params, total_accesses),
-            )),
-        }
-    }
-
-    /// Like [`SchemeKind::build`], but a SILC-FM controller records its
-    /// observability events into a ring buffer of `events_capacity`.
-    /// Baseline schemes have no controller-side emit points and build
-    /// unchanged (their trace hooks are the [`MemoryScheme`] defaults).
-    pub fn build_traced(
-        &self,
-        space: AddressSpace,
-        total_accesses: u64,
-        events_capacity: usize,
-    ) -> Box<dyn MemoryScheme> {
-        match self {
             Self::SilcFm(params) => Box::new(SilcFm::with_tracer(
                 space,
                 Geometry::paper(),
                 Self::scale_silcfm(params, total_accesses),
-                RingTracer::with_capacity(events_capacity),
+                tracer,
             )),
-            _ => self.build(space, total_accesses),
-        }
-    }
-
-    /// Like [`SchemeKind::build_traced`], but with the sampling tracer
-    /// tier: every controller event is counted, full events are retained
-    /// one-in-`sampling_period` (a power of two). Baseline schemes build
-    /// unchanged, as in `build_traced`.
-    pub fn build_sampled(
-        &self,
-        space: AddressSpace,
-        total_accesses: u64,
-        events_capacity: usize,
-        sampling_period: u64,
-    ) -> Box<dyn MemoryScheme> {
-        match self {
-            Self::SilcFm(params) => Box::new(SilcFm::with_tracer(
-                space,
-                Geometry::paper(),
-                Self::scale_silcfm(params, total_accesses),
-                SamplingTracer::with_capacity(events_capacity, sampling_period),
-            )),
-            _ => self.build(space, total_accesses),
         }
     }
 
@@ -269,9 +240,9 @@ pub fn space_for(
     AddressSpace::new(nm_blocks * 2048, fm_blocks * 2048)
 }
 
-/// Fault-injection knobs for [`run_faulted`]: an independent seed (so the
-/// fault plane never perturbs workload or placement randomness), a schedule
-/// horizon in CPU cycles, and the per-class rates.
+/// Fault-injection knobs for [`RunSpec::faults`]: an independent seed (so
+/// the fault plane never perturbs workload or placement randomness), a
+/// schedule horizon in CPU cycles, and the per-class rates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultParams {
     /// Seed of the fault plane, decorrelated from [`RunParams::seed`].
@@ -284,354 +255,291 @@ pub struct FaultParams {
 }
 
 impl FaultParams {
-    /// The fault topology `scheme` exposes over `space`: the controller's
-    /// way count, NM frame and subblock geometry, and the Table II channel
-    /// counts.
-    pub fn topology_for(scheme: &SchemeKind, space: AddressSpace) -> FaultTopology {
-        let ways = match scheme {
-            SchemeKind::SilcFm(p) => p.associativity,
-            _ => 1,
-        };
-        FaultTopology {
-            nm_ways: ways.min(u32::from(u8::MAX)) as u8,
-            nm_frames: (space.nm_bytes() / 2048).min(u64::from(u32::MAX)) as u32,
-            subblocks: 32,
-            nm_channels: DramConfig::hbm2().channels.min(u32::from(u8::MAX)) as u8,
-            fm_channels: DramConfig::ddr3().channels.min(u32::from(u8::MAX)) as u8,
-        }
-    }
-
-    /// Generates this configuration's schedule for `scheme` over `space`
-    /// and wraps it in a delivery cursor.
+    /// Generates this configuration's schedule for `scheme` over `space`.
+    /// The topology is what the scheme exposes there: the controller's way
+    /// count, NM frame and subblock geometry, and the Table II channel
+    /// counts. The same inputs always give the same schedule, so audits
+    /// can regenerate the one a run was armed with.
     ///
     /// # Errors
     ///
     /// Returns [`SilcFmError::FaultConfig`] when the rates or derived
     /// topology are invalid.
-    pub fn driver_for(
+    pub fn schedule_for(
         &self,
         scheme: &SchemeKind,
         space: AddressSpace,
-    ) -> Result<FaultDriver, SilcFmError> {
-        let topo = Self::topology_for(scheme, space);
-        let schedule =
-            FaultSchedule::generate(self.fault_seed, self.horizon_cycles, &self.rates, &topo)?;
-        Ok(FaultDriver::new(schedule))
+    ) -> Result<FaultSchedule, SilcFmError> {
+        let ways = match scheme {
+            SchemeKind::SilcFm(p) => p.associativity,
+            _ => 1,
+        };
+        let topo = FaultTopology {
+            nm_ways: ways.min(u32::from(u8::MAX)) as u8,
+            nm_frames: (space.nm_bytes() / 2048).min(u64::from(u32::MAX)) as u32,
+            subblocks: 32,
+            nm_channels: DramConfig::hbm2().channels.min(u32::from(u8::MAX)) as u8,
+            fm_channels: DramConfig::ddr3().channels.min(u32::from(u8::MAX)) as u8,
+        };
+        FaultSchedule::generate(self.fault_seed, self.horizon_cycles, &self.rates, &topo)
     }
 }
 
-/// Observability knobs for [`run_traced`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceParams {
-    /// Ring-buffer capacity (events) of each tracer: one for the
-    /// controller and one per DRAM device. Oldest events are overwritten
-    /// once full; the report counts the drops.
-    pub events_capacity: usize,
-    /// CPU cycles between time-series samples (and queue-depth events).
-    pub epoch_cycles: u64,
+/// How much of a run is observed: the tracer tier on the controller and
+/// both DRAM devices, and whether the run keeps the metrics apparatus
+/// ([`RunObs`]: epoch sampler, demand-latency histograms and quantile
+/// sketches). The tier only decides what is *retained*, never what the
+/// simulation does, so every tier's [`RunResult`] equals the `Off` run's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Observe {
+    /// Untraced: null tracers everywhere and no [`RunObs`]; every
+    /// `if T::ENABLED` emit site compiles away. What [`run`] does.
+    #[default]
+    Off,
+    /// Metrics only: the DRAM devices carry [`MetricsOnlyTracer`]s, whose
+    /// `record` inlines to nothing, and the controller runs its untraced
+    /// build, yet every observability hook is live. The report has the
+    /// full latency-percentile plane (byte-identical to the `Ring` tier's:
+    /// both fold the same completions in the same order) and the time
+    /// series, but no events. The cheapest "sketches ON" configuration.
+    Metrics {
+        /// CPU cycles between time-series samples.
+        epoch_cycles: u64,
+    },
+    /// The sampling tier: the controller and both DRAM devices count every
+    /// event exactly and retain full events one-in-`period` (a power of
+    /// two), so tracing costs a few percent instead of the ring tier's
+    /// double-digit share. With `epoch_cycles: None` the run keeps no
+    /// [`RunObs`] and returns no report: the always-on configuration whose
+    /// overhead the tier's budget is measured against.
+    Sampled {
+        /// Event capacity of each tracer.
+        events_capacity: usize,
+        /// Retain one event in this many (a power of two).
+        period: u64,
+        /// CPU cycles between time-series samples, or no metrics apparatus.
+        epoch_cycles: Option<u64>,
+    },
+    /// Full observability: ring tracers on the controller and both DRAM
+    /// devices plus the metrics apparatus. Oldest events are overwritten
+    /// once a ring is full; the report counts the drops.
+    Ring {
+        /// Ring capacity (events) of each tracer.
+        events_capacity: usize,
+        /// CPU cycles between time-series samples (and queue-depth events).
+        epoch_cycles: u64,
+    },
 }
 
-impl TraceParams {
-    /// Defaults sized for a full workload capture: 1 Mi events per tracer,
-    /// a sample every 100 k cycles.
-    pub const fn default_capture() -> Self {
+impl Observe {
+    /// Tracer capacity sized for a full workload capture: 1 Mi events.
+    pub const CAPTURE_EVENTS: usize = 1 << 20;
+    /// Default time-series resolution: a sample every 100 k cycles.
+    pub const CAPTURE_EPOCH_CYCLES: u64 = 100_000;
+}
+
+/// Everything orthogonal to *what* is simulated: the observability tier
+/// and an optional fault schedule. [`run_spec`] takes one; the default is
+/// an untraced, fault-free run.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct RunSpec {
+    /// The tracer tier and metrics apparatus.
+    pub observe: Observe,
+    /// A deterministic fault schedule to arm, if any.
+    pub faults: Option<FaultParams>,
+}
+
+/// What a [`run_spec`] run produced.
+#[derive(Debug, Clone)]
+pub struct RunOutput {
+    /// The figure-level metrics, identical to [`run`]'s under the same
+    /// faults whatever the tier.
+    pub result: RunResult,
+    /// The assembled observability report: `Some` for every tier that
+    /// keeps the metrics apparatus.
+    pub report: Option<ObsReport>,
+    /// The controller's exact per-kind event totals (indexed by
+    /// [`Event::kind_index`](silcfm_types::obs::Event::kind_index)):
+    /// `Some` on the sampling tier, whose tracers count every event.
+    pub counters: Option<[u64; EVENT_KINDS]>,
+    /// The fault-effect ledger: `Some` when a schedule was armed.
+    pub fault_stats: Option<FaultStats>,
+}
+
+/// What every run derives from its inputs before it builds a machine: the
+/// footprint-scaled profile, the address space sized for it, and the
+/// run's total access count (the scheme time constants scale with it).
+#[derive(Debug, Clone, Copy)]
+pub struct RunSetup {
+    /// The workload profile at the run's footprint scale.
+    pub scaled: WorkloadProfile,
+    /// The flat address space the run simulates.
+    pub space: AddressSpace,
+    /// Memory accesses over all cores.
+    pub total_accesses: u64,
+    scheme: SchemeKind,
+    cfg: SystemConfig,
+    params: RunParams,
+}
+
+impl RunSetup {
+    /// Derives the setup of `scheme` running `profile` on `cfg` at `params`.
+    pub fn new(
+        profile: &WorkloadProfile,
+        scheme: SchemeKind,
+        cfg: &SystemConfig,
+        params: &RunParams,
+    ) -> Self {
+        let scaled = profiles::scaled(profile, params.footprint_scale);
         Self {
-            events_capacity: 1 << 20,
-            epoch_cycles: 100_000,
+            space: space_for(&scaled, cfg, params),
+            scaled,
+            total_accesses: params.accesses_per_core * u64::from(cfg.core.cores),
+            scheme,
+            cfg: *cfg,
+            params: *params,
+        }
+    }
+
+    /// Builds the machine the run simulates: `controller` records inside
+    /// the scheme, `dram()` makes each DRAM device's tracer, and the run
+    /// maintains `obs` when it is `Some`.
+    pub fn system<C: Tracer + 'static, T: Tracer>(
+        &self,
+        controller: C,
+        dram: impl Fn() -> T,
+        obs: Option<RunObs>,
+    ) -> System<T> {
+        System::with_observability(
+            self.cfg,
+            self.space,
+            self.scheme.placement(self.params.seed),
+            self.scheme
+                .build_with_tracer(self.space, self.total_accesses, controller),
+            dram(),
+            dram(),
+            obs,
+        )
+    }
+
+    /// The one run body behind [`run`] and every [`run_spec`] tier, generic
+    /// over the DRAM tracer so each tier is its own monomorphized loop:
+    /// arms `faults`, runs the workload on `system`, and collects what the
+    /// tier produced (`counted` reads the controller's event counters).
+    fn execute<T: Tracer>(
+        &self,
+        mut system: System<T>,
+        faults: Option<FaultDriver>,
+        counted: bool,
+    ) -> RunOutput {
+        let armed = faults.is_some();
+        if let Some(driver) = faults {
+            system.set_fault_driver(driver);
+        }
+        let outcome = system.run(
+            &self.scaled,
+            self.params.accesses_per_core,
+            self.params.seed,
+        );
+        let scheme_stats = system.scheme().stats();
+        let mpki = if outcome.instructions == 0 {
+            0.0
+        } else {
+            // Per-core MPKI: total misses and total instructions scale together.
+            outcome.llc_misses as f64 * 1000.0 / outcome.instructions as f64
+        };
+        let result = RunResult {
+            scheme: self.scheme.label().to_string(),
+            workload: self.scaled.name.to_string(),
+            cycles: outcome.cycles,
+            instructions: outcome.instructions,
+            llc_misses: outcome.llc_misses,
+            access_rate: scheme_stats.access_rate(),
+            traffic: *system.tally(),
+            energy_pj: system.energy_pj(outcome.cycles),
+            scheme_stats,
+            mpki,
+            footprint_bytes: system.footprint_bytes(),
+        };
+        RunOutput {
+            result,
+            counters: counted.then(|| system.scheme().trace_counters()),
+            fault_stats: armed.then(|| *system.fault_stats()),
+            report: system.finish_observation(outcome.cycles),
         }
     }
 }
 
-impl Default for TraceParams {
-    fn default() -> Self {
-        Self::default_capture()
-    }
-}
-
-/// Folds one finished system + outcome into the figure-level metrics.
-fn collect<T: Tracer>(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    system: &System<T>,
-    outcome: SystemOutcome,
-) -> RunResult {
-    let scheme_stats = system.scheme().stats();
-    let mpki = if outcome.instructions == 0 {
-        0.0
-    } else {
-        // Per-core MPKI: total misses and total instructions scale together.
-        outcome.llc_misses as f64 * 1000.0 / outcome.instructions as f64
-    };
-
-    RunResult {
-        scheme: scheme.label().to_string(),
-        workload: profile.name.to_string(),
-        cycles: outcome.cycles,
-        instructions: outcome.instructions,
-        llc_misses: outcome.llc_misses,
-        access_rate: scheme_stats.access_rate(),
-        traffic: *system.tally(),
-        energy_pj: system.energy_pj(outcome.cycles),
-        scheme_stats,
-        mpki,
-        footprint_bytes: system.footprint_bytes(),
-    }
-}
-
 /// Simulates `scheme` on `profile` (rate mode: one copy per core) and
-/// returns the measured metrics.
+/// returns the measured metrics: the untraced, fault-free spelling of
+/// [`run_spec`].
 pub fn run(
     profile: &WorkloadProfile,
     scheme: SchemeKind,
     cfg: &SystemConfig,
     params: &RunParams,
 ) -> RunResult {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let mut system = System::new(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build(space, total_accesses),
-    );
-    let outcome = system.run(&scaled, params.accesses_per_core, params.seed);
-    collect(profile, scheme, &system, outcome)
+    let setup = RunSetup::new(profile, scheme, cfg, params);
+    let system = setup.system(NullTracer, || NullTracer, None);
+    setup.execute(system, None, false).result
 }
 
-/// Like [`run`], but with full observability: ring-buffer tracers on the
-/// controller and both DRAM devices, demand-latency histograms and the
-/// epoch time series. Returns the (bit-identical to [`run`]) metrics plus
-/// the assembled [`ObsReport`].
-pub fn run_traced(
+/// Simulates `scheme` on `profile` as `spec` says: the result is
+/// bit-identical to [`run`]'s whatever the tier; `spec.observe` decides
+/// what else comes back, and `spec.faults` arms a deterministic schedule
+/// whose faults are delivered before the demand access that first reaches
+/// their cycle, with every delivery accounted in the ledger.
+///
+/// # Errors
+///
+/// Returns [`SilcFmError::FaultConfig`] when `spec.faults` is invalid.
+///
+/// # Panics
+///
+/// Panics if a tier's `events_capacity` is zero or its sampling `period`
+/// is not a power of two.
+pub fn run_spec(
     profile: &WorkloadProfile,
     scheme: SchemeKind,
     cfg: &SystemConfig,
     params: &RunParams,
-    trace: &TraceParams,
-) -> (RunResult, ObsReport) {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
+    spec: &RunSpec,
+) -> Result<RunOutput, SilcFmError> {
+    let setup = RunSetup::new(profile, scheme, cfg, params);
+    let faults = match &spec.faults {
+        Some(f) => Some(FaultDriver::new(f.schedule_for(&scheme, setup.space)?)),
+        None => None,
+    };
     // Preallocation hint only; the sampler grows if the run overshoots.
     let expected_cycles = params.accesses_per_core.saturating_mul(64);
-    let mut system = System::with_observability(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build_traced(space, total_accesses, trace.events_capacity),
-        RingTracer::with_capacity(trace.events_capacity),
-        RingTracer::with_capacity(trace.events_capacity),
-        Some(RunObs::new(trace.epoch_cycles, expected_cycles)),
-    );
-    let outcome = system.run(&scaled, params.accesses_per_core, params.seed);
-    let result = collect(profile, scheme, &system, outcome);
-    let report = system
-        .finish_observation(outcome.cycles)
-        // silcfm-lint: allow(E1) -- with_observability ten lines up always installs RunObs; the invariant is local
-        .expect("the system above is always built with observability");
-    (result, report)
-}
-
-/// Like [`run_traced`], but on the metrics-only tier: the `T::ENABLED`
-/// observability hooks are live — the per-class latency quantile sketches,
-/// the demand-latency histograms, and the epoch sampler all populate — yet
-/// no event is ever buffered: the DRAM devices carry
-/// [`MetricsOnlyTracer`]s whose `record` inlines to nothing, and the
-/// controller runs its untraced build. The returned [`ObsReport`] has the
-/// full latency-percentile plane and time series but an empty event
-/// stream. This is the cheapest "sketches ON" configuration; the
-/// `throughput --overhead` bench prices it against the untraced run.
-///
-/// The latency plane it produces is byte-identical to [`run_traced`]'s:
-/// both fold the same demand completions in the same order — the tracer
-/// tier only decides whether events are *retained*, never what the
-/// simulation does.
-pub fn run_metrics_only(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    trace: &TraceParams,
-) -> (RunResult, ObsReport) {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let expected_cycles = params.accesses_per_core.saturating_mul(64);
-    let mut system = System::with_observability(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build(space, total_accesses),
-        MetricsOnlyTracer,
-        MetricsOnlyTracer,
-        Some(RunObs::new(trace.epoch_cycles, expected_cycles)),
-    );
-    let outcome = system.run(&scaled, params.accesses_per_core, params.seed);
-    let result = collect(profile, scheme, &system, outcome);
-    let report = system
-        .finish_observation(outcome.cycles)
-        // silcfm-lint: allow(E1) -- with_observability ten lines up always installs RunObs; the invariant is local
-        .expect("the system above is always built with observability");
-    (result, report)
-}
-
-/// Like [`run_traced`], but on the sampling tracer tier: the controller and
-/// both DRAM devices count every event and retain full events only
-/// one-in-`sampling_period` (a power of two), so the observability cost is
-/// a few percent instead of the ring tier's double-digit share. Returns the metrics, the
-/// [`ObsReport`] assembled from the sampled stream, and the controller's
-/// exact per-kind event totals (indexed by
-/// [`Event::kind_index`](silcfm_types::obs::Event::kind_index)).
-///
-/// # Panics
-///
-/// Panics if `sampling_period` is not a power of two.
-pub fn run_sampled(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    trace: &TraceParams,
-    sampling_period: u64,
-) -> (RunResult, ObsReport, [u64; EVENT_KINDS]) {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let expected_cycles = params.accesses_per_core.saturating_mul(64);
-    let mut system = System::with_observability(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build_sampled(
-            space,
-            total_accesses,
-            trace.events_capacity,
-            sampling_period,
-        ),
-        SamplingTracer::with_capacity(trace.events_capacity, sampling_period),
-        SamplingTracer::with_capacity(trace.events_capacity, sampling_period),
-        Some(RunObs::new(trace.epoch_cycles, expected_cycles)),
-    );
-    let outcome = system.run(&scaled, params.accesses_per_core, params.seed);
-    let result = collect(profile, scheme, &system, outcome);
-    let counters = system.scheme().trace_counters();
-    let report = system
-        .finish_observation(outcome.cycles)
-        // silcfm-lint: allow(E1) -- with_observability above always installs RunObs; the invariant is local
-        .expect("the system above is always built with observability");
-    (result, report, counters)
-}
-
-/// The always-on configuration of the sampling tier: sampling tracers on
-/// the controller and both DRAM devices, but *no* epoch sampler and no
-/// demand-latency histograms (those belong to a capture session, not to a
-/// tier meant to stay live in production runs). This is the configuration
-/// whose overhead the tier's "few percent" budget is measured against —
-/// [`run_sampled`] additionally pays the `RunObs` metrics apparatus, which
-/// is the larger share of its cost. Returns the (bit-identical) metrics
-/// plus the controller's exact per-kind event totals.
-///
-/// # Panics
-///
-/// Panics if `sampling_period` is not a power of two.
-pub fn run_sampled_lean(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    trace: &TraceParams,
-    sampling_period: u64,
-) -> (RunResult, [u64; EVENT_KINDS]) {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let mut system = System::with_observability(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build_sampled(
-            space,
-            total_accesses,
-            trace.events_capacity,
-            sampling_period,
-        ),
-        SamplingTracer::with_capacity(trace.events_capacity, sampling_period),
-        SamplingTracer::with_capacity(trace.events_capacity, sampling_period),
-        None,
-    );
-    let outcome = system.run(&scaled, params.accesses_per_core, params.seed);
-    let result = collect(profile, scheme, &system, outcome);
-    let counters = system.scheme().trace_counters();
-    (result, counters)
-}
-
-/// Like [`run`], but with a deterministic fault schedule armed: faults are
-/// delivered before the demand access that first reaches their cycle, the
-/// scheme and DRAM devices absorb or recover from them, and the returned
-/// ledger accounts every delivery.
-///
-/// # Errors
-///
-/// Returns [`SilcFmError::FaultConfig`] when `faults` is invalid.
-pub fn run_faulted(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    faults: &FaultParams,
-) -> Result<(RunResult, FaultStats), SilcFmError> {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let mut system = System::new(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build(space, total_accesses),
-    );
-    system.set_fault_driver(faults.driver_for(&scheme, space)?);
-    let outcome = system.run(&scaled, params.accesses_per_core, params.seed);
-    let result = collect(profile, scheme, &system, outcome);
-    Ok((result, *system.fault_stats()))
-}
-
-/// [`run_faulted`] with full observability, for harnesses that audit the
-/// fault plane's trace events (`fault_injected`, `recovered`, `poisoned`,
-/// `failover`) against the stats ledger.
-///
-/// # Errors
-///
-/// Returns [`SilcFmError::FaultConfig`] when `faults` is invalid.
-pub fn run_faulted_traced(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    faults: &FaultParams,
-    trace: &TraceParams,
-) -> Result<(RunResult, FaultStats, ObsReport), SilcFmError> {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let expected_cycles = params.accesses_per_core.saturating_mul(64);
-    let mut system = System::with_observability(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build_traced(space, total_accesses, trace.events_capacity),
-        RingTracer::with_capacity(trace.events_capacity),
-        RingTracer::with_capacity(trace.events_capacity),
-        Some(RunObs::new(trace.epoch_cycles, expected_cycles)),
-    );
-    system.set_fault_driver(faults.driver_for(&scheme, space)?);
-    let outcome = system.run(&scaled, params.accesses_per_core, params.seed);
-    let result = collect(profile, scheme, &system, outcome);
-    let fault_stats = *system.fault_stats();
-    let report = system
-        .finish_observation(outcome.cycles)
-        .ok_or_else(|| SilcFmError::experiment("traced run lost its observability state"))?;
-    Ok((result, fault_stats, report))
+    let obs = |epoch_cycles| Some(RunObs::new(epoch_cycles, expected_cycles));
+    Ok(match spec.observe {
+        Observe::Off => {
+            let system = setup.system(NullTracer, || NullTracer, None);
+            setup.execute(system, faults, false)
+        }
+        Observe::Metrics { epoch_cycles } => {
+            let system = setup.system(NullTracer, || MetricsOnlyTracer, obs(epoch_cycles));
+            setup.execute(system, faults, false)
+        }
+        Observe::Sampled {
+            events_capacity,
+            period,
+            epoch_cycles,
+        } => {
+            let tracer = || SamplingTracer::with_capacity(events_capacity, period);
+            let system = setup.system(tracer(), tracer, epoch_cycles.and_then(obs));
+            setup.execute(system, faults, true)
+        }
+        Observe::Ring {
+            events_capacity,
+            epoch_cycles,
+        } => {
+            let tracer = || RingTracer::with_capacity(events_capacity);
+            let system = setup.system(tracer(), tracer, obs(epoch_cycles));
+            setup.execute(system, faults, false)
+        }
+    })
 }
 
 #[cfg(test)]
@@ -640,6 +548,34 @@ mod tests {
 
     fn profile() -> &'static WorkloadProfile {
         profiles::by_name("milc").unwrap()
+    }
+
+    /// A smoke-size milc run of `scheme` with `faults` armed, untraced.
+    fn run_faulted(scheme: SchemeKind, faults: &FaultParams) -> (RunResult, FaultStats) {
+        let spec = RunSpec {
+            observe: Observe::Off,
+            faults: Some(*faults),
+        };
+        let cfg = SystemConfig::small();
+        let out = run_spec(profile(), scheme, &cfg, &RunParams::smoke(), &spec).unwrap();
+        (out.result, out.fault_stats.unwrap())
+    }
+
+    /// A smoke-size, fault-free milc run of SILC-FM on the `observe` tier.
+    fn run_observed(observe: Observe) -> RunOutput {
+        let spec = RunSpec {
+            observe,
+            faults: None,
+        };
+        let cfg = SystemConfig::small();
+        run_spec(
+            profile(),
+            SchemeKind::silcfm(),
+            &cfg,
+            &RunParams::smoke(),
+            &spec,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -713,8 +649,7 @@ mod tests {
             rates: FaultRates::none(),
         };
         let plain = run(profile(), SchemeKind::silcfm(), &cfg, &params);
-        let (faulted, stats) =
-            run_faulted(profile(), SchemeKind::silcfm(), &cfg, &params, &faults).unwrap();
+        let (faulted, stats) = run_faulted(SchemeKind::silcfm(), &faults);
         assert_eq!(stats.injected, 0);
         assert_eq!(plain.cycles, faulted.cycles);
         assert_eq!(plain.traffic, faulted.traffic);
@@ -723,15 +658,13 @@ mod tests {
 
     #[test]
     fn faulted_runs_conserve_and_are_deterministic() {
-        let cfg = SystemConfig::small();
-        let params = RunParams::smoke();
         let faults = FaultParams {
             fault_seed: 7,
             horizon_cycles: 4_000_000,
             rates: FaultRates::harsh(),
         };
-        let (a, sa) = run_faulted(profile(), SchemeKind::silcfm(), &cfg, &params, &faults).unwrap();
-        let (b, sb) = run_faulted(profile(), SchemeKind::silcfm(), &cfg, &params, &faults).unwrap();
+        let (a, sa) = run_faulted(SchemeKind::silcfm(), &faults);
+        let (b, sb) = run_faulted(SchemeKind::silcfm(), &faults);
         assert!(sa.injected > 0, "harsh rates must inject something");
         assert!(sa.conserved());
         assert_eq!(sa, sb);
@@ -742,14 +675,12 @@ mod tests {
 
     #[test]
     fn baselines_mask_scheme_faults_but_feel_channel_faults() {
-        let cfg = SystemConfig::small();
-        let params = RunParams::smoke();
         let faults = FaultParams {
             fault_seed: 3,
             horizon_cycles: 4_000_000,
             rates: FaultRates::harsh(),
         };
-        let (r, stats) = run_faulted(profile(), SchemeKind::Hma, &cfg, &params, &faults).unwrap();
+        let (r, stats) = run_faulted(SchemeKind::Hma, &faults);
         assert!(r.cycles > 0);
         assert!(stats.conserved());
         // The default `apply_fault` masks every scheme-side fault; nothing
@@ -765,14 +696,18 @@ mod tests {
         let params = RunParams::smoke();
         // Capacity large enough that neither run drops, so the fully-traced
         // stream is the exact reference for the counter totals.
-        let trace = TraceParams {
+        let plain = run(profile(), SchemeKind::silcfm(), &cfg, &params);
+        let full = run_observed(Observe::Ring {
             events_capacity: 1 << 20,
             epoch_cycles: 100_000,
-        };
-        let plain = run(profile(), SchemeKind::silcfm(), &cfg, &params);
-        let (_, full_report) = run_traced(profile(), SchemeKind::silcfm(), &cfg, &params, &trace);
-        let (sampled, report, counters) =
-            run_sampled(profile(), SchemeKind::silcfm(), &cfg, &params, &trace, 64);
+        });
+        let full_report = full.report.unwrap();
+        let out = run_observed(Observe::Sampled {
+            events_capacity: 1 << 20,
+            period: 64,
+            epoch_cycles: Some(100_000),
+        });
+        let (sampled, report, counters) = (out.result, out.report.unwrap(), out.counters.unwrap());
         // Observability must never perturb the simulation.
         assert_eq!(plain.cycles, sampled.cycles);
         assert_eq!(plain.traffic, sampled.traffic);
@@ -792,15 +727,16 @@ mod tests {
     fn metrics_only_tier_matches_plain_and_traced_runs() {
         let cfg = SystemConfig::small();
         let params = RunParams::smoke();
-        let trace = TraceParams {
+        let plain = run(profile(), SchemeKind::silcfm(), &cfg, &params);
+        let traced = run_observed(Observe::Ring {
             events_capacity: 1 << 14,
             epoch_cycles: 100_000,
-        };
-        let plain = run(profile(), SchemeKind::silcfm(), &cfg, &params);
-        let (traced, traced_report) =
-            run_traced(profile(), SchemeKind::silcfm(), &cfg, &params, &trace);
-        let (metrics, metrics_report) =
-            run_metrics_only(profile(), SchemeKind::silcfm(), &cfg, &params, &trace);
+        });
+        let (traced, traced_report) = (traced.result, traced.report.unwrap());
+        let metrics = run_observed(Observe::Metrics {
+            epoch_cycles: 100_000,
+        });
+        let (metrics, metrics_report) = (metrics.result, metrics.report.unwrap());
         // The tier is behavior-neutral against both neighbors.
         assert_eq!(plain.cycles, metrics.cycles);
         assert_eq!(plain.traffic, metrics.traffic);

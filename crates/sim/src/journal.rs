@@ -1,42 +1,58 @@
-//! Crash-safe experiment journal: an append-only record of finished grid
-//! jobs that lets a killed run resume without repeating work.
+//! Crash-safe journals: append-only records of finished work that let a
+//! killed run resume without repeating it.
 //!
-//! The format is a plain text file, one line per record:
+//! One contract serves every journal in the workspace; a [`Codec`] only
+//! supplies the header tag and the record line format. A journal is a
+//! plain text file, one line per record:
 //!
-//! * a header line, `silcfm-journal v1 grid=<hex>`, binding the journal to
-//!   one exact job grid (the digest covers every job's full configuration);
-//! * one `job` line per finished job, carrying the complete [`RunResult`]
-//!   in whitespace-separated fields. Floats are written as the hex of their
-//!   IEEE-754 bits, so a journal round-trip is *bit-identical* — a resumed
-//!   grid's aggregate equals the uninterrupted run's byte for byte;
-//! * optionally one `lat` line per finished job (traced grids only),
-//!   carrying the job's per-class [`LatencyBreakdown`] as sparse sketch
-//!   encodings. The sketch codec is bit-exact and sketch merges are
-//!   order-invariant, so resumed percentile reports — per job or merged
-//!   across the grid — are byte-identical to an uninterrupted run's.
+//! * a header line, `<tag> grid=<hex>`, binding the journal to one exact
+//!   job grid (the digest covers every job's full configuration);
+//! * one line per finished record, appended and flushed before the caller
+//!   moves on, so a crash loses at most the in-flight record.
 //!
-//! Every append is flushed before the runner moves on (a `lat` line flushes
-//! together with its `job` line), so a crash loses at most the in-flight
-//! record. The reader tolerates exactly that: a torn final line is
-//! discarded, anything else malformed is an error. A `lat` line whose `job`
-//! line never landed is ignored on resume — the job simply re-runs.
+//! The reader tolerates exactly that loss: a torn final line is discarded
+//! and healed away with `set_len`, anything else malformed is an error.
+//!
+//! The experiment grid's journal ([`GridCodec`]) has the header
+//! `silcfm-journal v1 grid=<hex>` and one `job` line per finished job,
+//! carrying the complete [`RunResult`] in whitespace-separated fields.
+//! Floats are written as the hex of their IEEE-754 bits, so a journal
+//! round-trip is *bit-identical* — a resumed grid's aggregate equals the
+//! uninterrupted run's byte for byte.
 
 // silcfm-lint: allow-file(T1) -- the only concurrency here is the process-wide
 // intern pool below: an idempotent, leaked String -> &'static str map whose
 // lock order cannot affect simulation results.
 
-use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::hash::{Hash, Hasher};
 use std::io::{BufWriter, Read as _, Write as _};
+use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 
-use silcfm_obs::LatencyBreakdown;
 use silcfm_types::{FxHashMap, FxHasher, SilcFmError};
 
 use crate::metrics::{RunResult, TrafficTally};
 use crate::runner::Job;
+
+/// One journal's line format. Tokens never contain whitespace.
+pub trait Codec {
+    /// What one record line carries.
+    type Record;
+    /// Header prefix: the header line is `<TAG> grid=<16 hex digits>`.
+    const TAG: &'static str;
+    /// What error messages call the file ("journal", "SLO journal").
+    const NAME: &'static str;
+    /// What error messages call the work the digest binds ("grid").
+    const GRID: &'static str;
+    /// Renders one record as a line, without its newline.
+    fn encode(record: &Self::Record) -> String;
+    /// Parses one line's whitespace-split tokens. Returns `None` on any
+    /// shortfall or malformed field; [`resume`] decides whether that means
+    /// "torn tail" (tolerated) or "corrupt" (error).
+    fn decode(tokens: &[&str]) -> Option<Self::Record>;
+}
 
 /// Digest binding a journal to one job grid. Any change to the grid — a
 /// workload, a scheme parameter, a seed — changes the digest and makes old
@@ -79,127 +95,119 @@ fn f64_to_field(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
 
-/// One journal line for a finished job. Tokens never contain whitespace:
-/// scheme/workload labels are fixed identifiers and numbers are decimal or
-/// hex.
-fn encode(index: usize, r: &RunResult) -> String {
-    use core::fmt::Write as _;
-    let mut line = format!(
-        "job {index} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-        r.scheme,
-        r.workload,
-        r.cycles,
-        r.instructions,
-        r.llc_misses,
-        f64_to_field(r.access_rate),
-        r.traffic.nm_demand,
-        r.traffic.fm_demand,
-        r.traffic.nm_other,
-        r.traffic.fm_other,
-        f64_to_field(r.energy_pj),
-        r.scheme_stats.accesses,
-        r.scheme_stats.serviced_from_nm,
-        r.scheme_stats.subblocks_moved,
-        r.scheme_stats.blocks_migrated,
-        f64_to_field(r.mpki),
-        r.footprint_bytes,
-        r.scheme_stats.details.len(),
-    );
-    for (key, value) in &r.scheme_stats.details {
-        let _ = write!(line, " {key} {}", f64_to_field(*value));
-    }
-    line
-}
-
-/// Parses one `job` line (sans the leading `job` token). Returns `None` on
-/// any shortfall or malformed field — the caller decides whether that means
-/// "torn tail" (tolerated) or "corrupt" (error).
-fn decode(tokens: &[&str]) -> Option<(usize, RunResult)> {
-    let mut it = tokens.iter();
-    let mut next = || it.next().copied();
-    let index: usize = next()?.parse().ok()?;
-    let scheme = next()?.to_string();
-    let workload = next()?.to_string();
-    let int = |s: Option<&str>| s?.parse::<u64>().ok();
-    let float = |s: Option<&str>| u64::from_str_radix(s?, 16).ok().map(f64::from_bits);
-    let cycles = int(next())?;
-    let instructions = int(next())?;
-    let llc_misses = int(next())?;
-    let access_rate = float(next())?;
-    let traffic = TrafficTally {
-        nm_demand: int(next())?,
-        fm_demand: int(next())?,
-        nm_other: int(next())?,
-        fm_other: int(next())?,
-    };
-    let energy_pj = float(next())?;
-    let mut scheme_stats = silcfm_types::SchemeStats {
-        accesses: int(next())?,
-        serviced_from_nm: int(next())?,
-        subblocks_moved: int(next())?,
-        blocks_migrated: int(next())?,
-        ..Default::default()
-    };
-    let mpki = float(next())?;
-    let footprint_bytes = int(next())?;
-    let ndetails = int(next())? as usize;
-    for _ in 0..ndetails {
-        let key = intern(next()?);
-        let value = float(next())?;
-        scheme_stats.details.push((key, value));
-    }
-    if it.next().is_some() {
-        return None; // trailing junk: treat as malformed
-    }
-    Some((
-        index,
-        RunResult {
-            scheme,
-            workload,
-            cycles,
-            instructions,
-            llc_misses,
-            access_rate,
-            traffic,
-            energy_pj,
-            scheme_stats,
-            mpki,
-            footprint_bytes,
-        },
-    ))
-}
-
-/// One journal line for a finished job's latency breakdown: `lat <index>`
-/// followed by the sparse per-class sketch fields.
-fn encode_lat(index: usize, lat: &LatencyBreakdown) -> String {
-    let mut line = format!("lat {index}");
-    lat.encode(&mut line);
-    line
-}
-
-/// Parses one `lat` line (sans the leading `lat` token).
-fn decode_lat(tokens: &[&str]) -> Option<(usize, LatencyBreakdown)> {
-    let mut it = tokens.iter().copied();
-    let index: usize = it.next()?.parse().ok()?;
-    let lat = LatencyBreakdown::decode(&mut it)?;
-    if it.next().is_some() {
-        return None; // trailing junk: treat as malformed
-    }
-    Some((index, lat))
-}
-
-fn header_line(digest: u64) -> String {
-    format!("silcfm-journal v1 grid={digest:016x}")
-}
-
-/// The write side of a journal: created fresh or reopened for resume, it
-/// appends one flushed line per finished job.
+/// The experiment grid's codec: one `job <index> ...` line per finished
+/// job. Scheme/workload labels are fixed identifiers and numbers are
+/// decimal or hex.
 #[derive(Debug)]
-pub struct JournalWriter {
-    out: BufWriter<File>,
+pub struct GridCodec;
+
+impl Codec for GridCodec {
+    type Record = (usize, RunResult);
+    const TAG: &'static str = "silcfm-journal v1";
+    const NAME: &'static str = "journal";
+    const GRID: &'static str = "grid";
+
+    fn encode((index, r): &(usize, RunResult)) -> String {
+        use core::fmt::Write as _;
+        let mut line = format!(
+            "job {index} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+            r.scheme,
+            r.workload,
+            r.cycles,
+            r.instructions,
+            r.llc_misses,
+            f64_to_field(r.access_rate),
+            r.traffic.nm_demand,
+            r.traffic.fm_demand,
+            r.traffic.nm_other,
+            r.traffic.fm_other,
+            f64_to_field(r.energy_pj),
+            r.scheme_stats.accesses,
+            r.scheme_stats.serviced_from_nm,
+            r.scheme_stats.subblocks_moved,
+            r.scheme_stats.blocks_migrated,
+            f64_to_field(r.mpki),
+            r.footprint_bytes,
+            r.scheme_stats.details.len(),
+        );
+        for (key, value) in &r.scheme_stats.details {
+            let _ = write!(line, " {key} {}", f64_to_field(*value));
+        }
+        line
+    }
+
+    fn decode(tokens: &[&str]) -> Option<(usize, RunResult)> {
+        let (&"job", fields) = tokens.split_first()? else {
+            return None;
+        };
+        let mut it = fields.iter();
+        let mut next = || it.next().copied();
+        let index: usize = next()?.parse().ok()?;
+        let scheme = next()?.to_string();
+        let workload = next()?.to_string();
+        let int = |s: Option<&str>| s?.parse::<u64>().ok();
+        let float = |s: Option<&str>| u64::from_str_radix(s?, 16).ok().map(f64::from_bits);
+        let cycles = int(next())?;
+        let instructions = int(next())?;
+        let llc_misses = int(next())?;
+        let access_rate = float(next())?;
+        let traffic = TrafficTally {
+            nm_demand: int(next())?,
+            fm_demand: int(next())?,
+            nm_other: int(next())?,
+            fm_other: int(next())?,
+        };
+        let energy_pj = float(next())?;
+        let mut scheme_stats = silcfm_types::SchemeStats {
+            accesses: int(next())?,
+            serviced_from_nm: int(next())?,
+            subblocks_moved: int(next())?,
+            blocks_migrated: int(next())?,
+            ..Default::default()
+        };
+        let mpki = float(next())?;
+        let footprint_bytes = int(next())?;
+        let ndetails = int(next())? as usize;
+        for _ in 0..ndetails {
+            let key = intern(next()?);
+            let value = float(next())?;
+            scheme_stats.details.push((key, value));
+        }
+        if it.next().is_some() {
+            return None; // trailing junk: treat as malformed
+        }
+        Some((
+            index,
+            RunResult {
+                scheme,
+                workload,
+                cycles,
+                instructions,
+                llc_misses,
+                access_rate,
+                traffic,
+                energy_pj,
+                scheme_stats,
+                mpki,
+                footprint_bytes,
+            },
+        ))
+    }
 }
 
-impl JournalWriter {
+fn header_line<C: Codec>(digest: u64) -> String {
+    format!("{} grid={digest:016x}", C::TAG)
+}
+
+/// The write side of a journal: created fresh or reopened by [`resume`],
+/// it appends one flushed line per finished record.
+#[derive(Debug)]
+pub struct JournalWriter<C: Codec> {
+    out: BufWriter<File>,
+    codec: PhantomData<C>,
+}
+
+impl<C: Codec> JournalWriter<C> {
     /// Creates (truncating) a journal for a grid with the given digest and
     /// writes the header.
     ///
@@ -207,83 +215,42 @@ impl JournalWriter {
     ///
     /// Returns [`SilcFmError::Journal`] on any I/O failure.
     pub fn create(path: &Path, digest: u64) -> Result<Self, SilcFmError> {
-        let file = File::create(path)?;
-        let mut out = BufWriter::new(file);
-        writeln!(out, "{}", header_line(digest))?;
+        let mut out = BufWriter::new(File::create(path)?);
+        writeln!(out, "{}", header_line::<C>(digest))?;
         out.flush()?;
-        Ok(Self { out })
+        Ok(Self {
+            out,
+            codec: PhantomData,
+        })
     }
 
-    /// Appends one finished job and flushes, so a crash after this call
-    /// never loses the record.
+    /// Appends one finished record and flushes, so a crash after this call
+    /// never loses it.
     ///
     /// # Errors
     ///
     /// Returns [`SilcFmError::Journal`] on any I/O failure.
-    pub fn append(&mut self, index: usize, result: &RunResult) -> Result<(), SilcFmError> {
-        writeln!(self.out, "{}", encode(index, result))?;
-        self.out.flush()?;
-        Ok(())
-    }
-
-    /// Appends one finished traced job — its `lat` line immediately
-    /// followed by its `job` line — in a single flush. The `job` line seals
-    /// the record: a crash between the two leaves a `lat` orphan that
-    /// resume ignores, so the job re-runs rather than resuming half-done.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SilcFmError::Journal`] on any I/O failure.
-    pub fn append_traced(
-        &mut self,
-        index: usize,
-        result: &RunResult,
-        lat: &LatencyBreakdown,
-    ) -> Result<(), SilcFmError> {
-        writeln!(self.out, "{}", encode_lat(index, lat))?;
-        writeln!(self.out, "{}", encode(index, result))?;
+    pub fn append(&mut self, record: &C::Record) -> Result<(), SilcFmError> {
+        writeln!(self.out, "{}", C::encode(record))?;
         self.out.flush()?;
         Ok(())
     }
 }
 
 /// Reads a journal back: validates the header against `digest`, collects
-/// the finished jobs, and reopens the file in append mode so the run can
-/// continue where it stopped. A torn final line (no trailing newline, or a
-/// line that stops mid-field) is discarded silently — that is the crash the
-/// journal exists to survive.
+/// the finished records in append order, and reopens the file in append
+/// mode so the run can continue where it stopped. A torn final line (no
+/// trailing newline, or a line that stops mid-field) is discarded and cut
+/// off the file — that is the crash the journal exists to survive.
 ///
 /// # Errors
 ///
 /// Returns [`SilcFmError::Journal`] when the file is unreadable, the header
 /// names a different grid, or an interior line is malformed.
-pub fn resume(
+pub fn resume<C: Codec>(
     path: &Path,
     digest: u64,
-) -> Result<(JournalWriter, BTreeMap<usize, RunResult>), SilcFmError> {
-    let (writer, done, _) = resume_traced(path, digest)?;
-    Ok((writer, done))
-}
-
-/// What [`resume_traced`] recovers from a journal: the reopened writer,
-/// the finished jobs by index, and the per-job latency breakdowns whose
-/// sealing `job` line landed.
-pub type TracedResume = (
-    JournalWriter,
-    BTreeMap<usize, RunResult>,
-    BTreeMap<usize, LatencyBreakdown>,
-);
-
-/// [`resume`], also returning the per-job [`LatencyBreakdown`]s recorded by
-/// [`JournalWriter::append_traced`]. A `lat` line whose sealing `job` line
-/// never landed (the crash window between the two) is dropped here, so a
-/// job is "done" only when *both* of its records are intact.
-///
-/// # Errors
-///
-/// Returns [`SilcFmError::Journal`] when the file is unreadable, the header
-/// names a different grid, or an interior line is malformed.
-pub fn resume_traced(path: &Path, digest: u64) -> Result<TracedResume, SilcFmError> {
+) -> Result<(JournalWriter<C>, Vec<C::Record>), SilcFmError> {
     let mut text = String::new();
     File::open(path)?.read_to_string(&mut text)?;
     // Bytes past the last newline are the in-flight record of a crash;
@@ -293,43 +260,28 @@ pub fn resume_traced(path: &Path, digest: u64) -> Result<TracedResume, SilcFmErr
     let header_end = body
         .find('\n')
         .map(|i| i + 1)
-        .ok_or_else(|| SilcFmError::journal("journal is empty (no header line)"))?;
+        .ok_or_else(|| SilcFmError::journal(format!("{} is empty (no header line)", C::NAME)))?;
     let header = body[..header_end].trim_end();
-    if header != header_line(digest) {
+    if header != header_line::<C>(digest) {
         return Err(SilcFmError::journal(format!(
-            "journal belongs to a different grid: found {header:?}, expected {:?}",
-            header_line(digest)
+            "{} belongs to a different {}: found {header:?}, expected {:?}",
+            C::NAME,
+            C::GRID,
+            header_line::<C>(digest)
         )));
     }
-    let mut done = BTreeMap::new();
-    let mut lats = BTreeMap::new();
+    let mut done = Vec::new();
     // Track the byte offset of the last intact record so the file can be
-    // truncated back to a clean state before appending resumes. A `lat`
-    // line does not advance the offset on its own: only its sealing `job`
-    // line commits the pair, so an orphaned `lat` tail is healed away.
+    // truncated back to a clean state before appending resumes.
     let mut valid_up_to = header_end;
-    let mut offset = header_end;
     let mut rest = body[header_end..].split_inclusive('\n').peekable();
     while let Some(raw) = rest.next() {
         let line = raw.trim_end_matches('\n');
         let tokens: Vec<&str> = line.split_whitespace().collect();
-        enum Parsed {
-            Job(usize, RunResult),
-            Lat(usize, LatencyBreakdown),
-        }
-        let parsed = match tokens.split_first() {
-            Some((&"job", fields)) => decode(fields).map(|(i, r)| Parsed::Job(i, r)),
-            Some((&"lat", fields)) => decode_lat(fields).map(|(i, l)| Parsed::Lat(i, l)),
-            _ => None,
-        };
-        offset += raw.len();
-        match parsed {
-            Some(Parsed::Job(index, result)) => {
-                done.insert(index, result);
-                valid_up_to = offset;
-            }
-            Some(Parsed::Lat(index, lat)) => {
-                lats.insert(index, lat);
+        match C::decode(&tokens) {
+            Some(record) => {
+                done.push(record);
+                valid_up_to += raw.len();
             }
             // A malformed *last* line can be a crash artifact and is
             // dropped; a malformed interior line cannot, and means
@@ -337,13 +289,12 @@ pub fn resume_traced(path: &Path, digest: u64) -> Result<TracedResume, SilcFmErr
             None if rest.peek().is_none() => break,
             None => {
                 return Err(SilcFmError::journal(format!(
-                    "malformed journal line: {line:?}"
+                    "malformed {} line: {line:?}",
+                    C::NAME
                 )))
             }
         }
     }
-    // Keep only breakdowns whose job record sealed; orphans re-run.
-    lats.retain(|index, _| done.contains_key(index));
     if valid_up_to < text.len() {
         // Heal the crash damage: cut the torn/malformed tail so appended
         // records start on a fresh line.
@@ -354,16 +305,26 @@ pub fn resume_traced(path: &Path, digest: u64) -> Result<TracedResume, SilcFmErr
     Ok((
         JournalWriter {
             out: BufWriter::new(file),
+            codec: PhantomData,
         },
         done,
-        lats,
     ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use silcfm_types::SchemeStats;
+
+    type Writer = JournalWriter<GridCodec>;
+
+    /// Resumes a grid journal into its records by job index.
+    fn resume_grid(path: &Path, digest: u64) -> (Writer, BTreeMap<usize, RunResult>) {
+        let (w, done) = resume::<GridCodec>(path, digest).unwrap();
+        (w, done.into_iter().collect())
+    }
 
     fn result(cycles: u64) -> RunResult {
         RunResult {
@@ -404,11 +365,11 @@ mod tests {
     #[test]
     fn roundtrip_is_bit_identical() {
         let path = tmp("roundtrip.journal");
-        let mut w = JournalWriter::create(&path, 42).unwrap();
-        w.append(0, &result(1000)).unwrap();
-        w.append(3, &result(2000)).unwrap();
+        let mut w = Writer::create(&path, 42).unwrap();
+        w.append(&(0, result(1000))).unwrap();
+        w.append(&(3, result(2000))).unwrap();
         drop(w);
-        let (_w, done) = resume(&path, 42).unwrap();
+        let (_w, done) = resume_grid(&path, 42);
         assert_eq!(done.len(), 2);
         assert_eq!(done[&0], result(1000));
         assert_eq!(done[&3], result(2000));
@@ -420,10 +381,10 @@ mod tests {
         r.access_rate = f64::from_bits(0x3FE9_9999_9999_999A); // 0.8 exactly as stored
         r.mpki = -0.0;
         let path = tmp("floatbits.journal");
-        let mut w = JournalWriter::create(&path, 7).unwrap();
-        w.append(0, &r).unwrap();
+        let mut w = Writer::create(&path, 7).unwrap();
+        w.append(&(0, r.clone())).unwrap();
         drop(w);
-        let (_w, done) = resume(&path, 7).unwrap();
+        let (_w, done) = resume_grid(&path, 7);
         assert_eq!(done[&0].access_rate.to_bits(), r.access_rate.to_bits());
         assert_eq!(done[&0].mpki.to_bits(), r.mpki.to_bits());
     }
@@ -431,115 +392,61 @@ mod tests {
     #[test]
     fn torn_tail_is_discarded() {
         let path = tmp("torn.journal");
-        let mut w = JournalWriter::create(&path, 9).unwrap();
-        w.append(0, &result(500)).unwrap();
+        let mut w = Writer::create(&path, 9).unwrap();
+        w.append(&(0, result(500))).unwrap();
         drop(w);
         // Simulate a crash mid-append: partial line, no newline.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         write!(f, "job 1 silcfm milc 77").unwrap();
         drop(f);
-        let (mut w, done) = resume(&path, 9).unwrap();
+        let (mut w, done) = resume_grid(&path, 9);
         assert_eq!(done.len(), 1, "torn record must be dropped");
         // Resume healed the tail: the re-appended record lands on a fresh
         // line and the journal reads back complete.
-        w.append(1, &result(600)).unwrap();
+        w.append(&(1, result(600))).unwrap();
         drop(w);
-        let (_w, done) = resume(&path, 9).unwrap();
+        let (_w, done) = resume_grid(&path, 9);
         assert_eq!(done.len(), 2);
         assert_eq!(done[&1], result(600));
     }
 
-    fn breakdown(seed: u64) -> LatencyBreakdown {
-        use silcfm_types::AccessClass;
-        let mut lat = LatencyBreakdown::new();
-        for i in 0..40u64 {
-            let class = AccessClass::ALL[(i % AccessClass::COUNT as u64) as usize];
-            lat.record(class, seed + i * i);
-        }
-        lat
-    }
-
+    /// A journal written in the grid format every earlier release wrote:
+    /// the header plus one `job` line, as literal text. Resuming it must
+    /// give back the exact result, and encoding that result must give back
+    /// the exact line, so journals on disk stay resumable across releases.
     #[test]
-    fn traced_roundtrip_is_bit_identical() {
-        let path = tmp("traced-roundtrip.journal");
-        let mut w = JournalWriter::create(&path, 11).unwrap();
-        w.append_traced(0, &result(1000), &breakdown(3)).unwrap();
-        w.append_traced(2, &result(2000), &breakdown(900)).unwrap();
-        drop(w);
-        let (_w, done, lats) = resume_traced(&path, 11).unwrap();
-        assert_eq!(done.len(), 2);
-        assert_eq!(lats.len(), 2);
-        for (index, seed) in [(0usize, 3u64), (2, 900)] {
-            let mut want = String::new();
-            breakdown(seed).encode(&mut want);
-            let mut got = String::new();
-            lats[&index].encode(&mut got);
-            assert_eq!(got, want, "breakdown {index} must survive bit-exactly");
-        }
-    }
-
-    #[test]
-    fn orphan_lat_line_reruns_the_job() {
-        let path = tmp("orphan-lat.journal");
-        let mut w = JournalWriter::create(&path, 13).unwrap();
-        w.append_traced(0, &result(500), &breakdown(1)).unwrap();
-        drop(w);
-        // Simulate a crash in the append_traced window: the `lat` line of
-        // job 1 landed (with its newline) but the sealing `job` line did not.
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        writeln!(f, "{}", encode_lat(1, &breakdown(7))).unwrap();
-        drop(f);
-        let (mut w, done, lats) = resume_traced(&path, 13).unwrap();
-        assert_eq!(done.len(), 1, "unsealed job must re-run");
-        assert_eq!(lats.len(), 1, "orphan lat must be dropped");
-        // The orphan tail was healed away, so re-appending job 1 yields a
-        // clean two-line record, not a duplicate-lat confusion.
-        w.append_traced(1, &result(600), &breakdown(8)).unwrap();
-        drop(w);
-        let (_w, done, lats) = resume_traced(&path, 13).unwrap();
-        assert_eq!(done.len(), 2);
-        assert_eq!(done[&1], result(600));
-        let mut want = String::new();
-        breakdown(8).encode(&mut want);
-        let mut got = String::new();
-        lats[&1].encode(&mut got);
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn plain_resume_tolerates_traced_records() {
-        // A grid journaled by the traced runner can be resumed by the plain
-        // one (the breakdowns are simply ignored) — the formats interleave.
-        let path = tmp("mixed.journal");
-        let mut w = JournalWriter::create(&path, 17).unwrap();
-        w.append_traced(0, &result(100), &breakdown(2)).unwrap();
-        w.append(1, &result(200)).unwrap();
-        drop(w);
-        let (_w, done) = resume(&path, 17).unwrap();
-        assert_eq!(done.len(), 2);
-        assert_eq!(done[&0], result(100));
-        assert_eq!(done[&1], result(200));
+    fn todays_grid_format_still_resumes() {
+        const HEADER: &str = "silcfm-journal v1 grid=000000000000002a";
+        const JOB: &str = "job 0 silcfm milc 1000 123456 789 3fea67381d7dbf48 1 2 3 4 \
+                           41d65a0bc0000000 99 81 7 2 402abd70a3d70a3d 2097152 2 \
+                           locks 4010000000000000 fault_poisoned 3fc0000000000000";
+        let path = tmp("fixture.journal");
+        std::fs::write(&path, format!("{HEADER}\n{JOB}\n")).unwrap();
+        let (_w, done) = resume_grid(&path, 42);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[&0], result(1000));
+        assert_eq!(GridCodec::encode(&(0, result(1000))), JOB);
     }
 
     #[test]
     fn grid_mismatch_is_rejected() {
         let path = tmp("mismatch.journal");
-        drop(JournalWriter::create(&path, 1).unwrap());
-        let err = resume(&path, 2).unwrap_err();
+        drop(Writer::create(&path, 1).unwrap());
+        let err = resume::<GridCodec>(&path, 2).unwrap_err();
         assert!(err.to_string().contains("different grid"), "{err}");
     }
 
     #[test]
     fn interior_corruption_is_an_error() {
         let path = tmp("corrupt.journal");
-        let mut w = JournalWriter::create(&path, 5).unwrap();
-        w.append(0, &result(500)).unwrap();
+        let mut w = Writer::create(&path, 5).unwrap();
+        w.append(&(0, result(500))).unwrap();
         drop(w);
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         writeln!(f, "job zzz not-a-record").unwrap();
-        writeln!(f, "{}", encode(1, &result(600))).unwrap();
+        writeln!(f, "{}", GridCodec::encode(&(1, result(600)))).unwrap();
         drop(f);
-        let err = resume(&path, 5).unwrap_err();
+        let err = resume::<GridCodec>(&path, 5).unwrap_err();
         assert!(err.to_string().contains("malformed"), "{err}");
     }
 

@@ -33,15 +33,13 @@ pub mod shard;
 pub mod system;
 
 pub use experiment::{
-    run, run_faulted, run_faulted_traced, run_metrics_only, run_sampled, run_sampled_lean,
-    run_traced, FaultParams, RunParams, SchemeKind, TraceParams,
+    run, run_spec, FaultParams, Observe, RunOutput, RunParams, RunSetup, RunSpec, SchemeKind,
 };
 pub use metrics::{RunResult, TrafficTally};
 pub use observe::RunObs;
 pub use report::{format_table, Row};
 pub use runner::{
-    run_grid, run_grid_journaled, run_grid_serial, run_grid_traced, run_grid_traced_journaled,
-    ExperimentGrid, Job,
+    run_grid, run_grid_journaled, run_grid_serial, run_grid_spec, ExperimentGrid, Job,
 };
 pub use shard::{run_system_sharded_tapped, ShardParams, ShardReport};
 pub use system::{LaneSource, NullTap, RecordFeed, RecordStream, ServiceTap, StreamFeed, System};

@@ -45,10 +45,8 @@ use silcfm_trace::profiles::WorkloadProfile;
 use silcfm_types::rng::SplitMix64;
 use silcfm_types::{SilcFmError, SystemConfig};
 
-use silcfm_obs::{LatencyBreakdown, ObsReport};
-
-use crate::experiment::{run, run_traced, RunParams, SchemeKind, TraceParams};
-use crate::journal;
+use crate::experiment::{run, run_spec, RunOutput, RunParams, RunSpec, SchemeKind};
+use crate::journal::{self, GridCodec, JournalWriter};
 use crate::metrics::RunResult;
 
 /// One self-contained simulation: everything [`run`] needs, by value, so the
@@ -282,6 +280,27 @@ pub fn run_grid(jobs: &[Job], threads: usize) -> Vec<RunResult> {
     run_grid_with(jobs, threads, Job::execute)
 }
 
+/// Runs every job as `spec` says (see [`run_spec`]) across `threads`
+/// workers. Outputs come back in job order — each job's tracers are its
+/// own, so its report (and the exports built from it) is byte-identical to
+/// a serial `run_spec` loop at any thread count.
+///
+/// # Errors
+///
+/// Returns the first job's [`SilcFmError::FaultConfig`] when `spec.faults`
+/// is invalid for it.
+pub fn run_grid_spec(
+    jobs: &[Job],
+    spec: &RunSpec,
+    threads: usize,
+) -> Result<Vec<RunOutput>, SilcFmError> {
+    run_grid_with(jobs, threads, |job| {
+        run_spec(&job.profile, job.scheme, &job.cfg, &job.params, spec)
+    })
+    .into_iter()
+    .collect()
+}
+
 /// Runs `jobs` with a crash-safe journal at `path`: every finished job is
 /// appended (and flushed) the moment its worker reports it, and with
 /// `resume == true` an existing journal's completed jobs are loaded instead
@@ -303,100 +322,15 @@ pub fn run_grid_journaled(
     threads: usize,
     path: &Path,
     resume: bool,
-    on_done: impl FnMut(usize, &RunResult),
+    mut on_done: impl FnMut(usize, &RunResult),
 ) -> Result<Vec<RunResult>, SilcFmError> {
     let digest = journal::grid_digest(jobs);
-    let (writer, done) = if resume && path.exists() {
-        journal::resume(path, digest)?
+    let (mut writer, done) = if resume && path.exists() {
+        journal::resume::<GridCodec>(path, digest)?
     } else {
-        (
-            journal::JournalWriter::create(path, digest)?,
-            std::collections::BTreeMap::new(),
-        )
+        (JournalWriter::create(path, digest)?, Vec::new())
     };
-    run_grid_journaled_core(
-        jobs,
-        threads,
-        writer,
-        done,
-        on_done,
-        Job::execute,
-        |w, i, r| w.append(i, r),
-    )
-}
-
-/// Runs a *traced* grid with a crash-safe journal: each finished job
-/// appends its latency breakdown (`lat` line) and its result (`job` line)
-/// in one flush, and a resume returns journaled jobs' `(result, breakdown)`
-/// pairs without re-running them. The sketch codec is bit-exact and sketch
-/// merges are order-invariant, so percentile reports built from the
-/// returned breakdowns — per job or merged across the grid — are
-/// byte-identical whether the grid ran uninterrupted or was killed and
-/// resumed (the property the journal tests pin).
-///
-/// Only the percentile plane survives the journal round-trip; event buffers
-/// and epoch series belong to live [`ObsReport`]s and are not journaled.
-///
-/// # Errors
-///
-/// Returns [`SilcFmError::Journal`] when the journal cannot be written, is
-/// corrupt, or belongs to a different grid.
-pub fn run_grid_traced_journaled(
-    jobs: &[Job],
-    trace: &TraceParams,
-    threads: usize,
-    path: &Path,
-    resume: bool,
-    on_done: impl FnMut(usize, &(RunResult, LatencyBreakdown)),
-) -> Result<Vec<(RunResult, LatencyBreakdown)>, SilcFmError> {
-    let digest = journal::grid_digest(jobs);
-    let (writer, done) = if resume && path.exists() {
-        let (writer, results, mut lats) = journal::resume_traced(path, digest)?;
-        let done: std::collections::BTreeMap<usize, (RunResult, LatencyBreakdown)> = results
-            .into_iter()
-            .filter_map(|(i, r)| lats.remove(&i).map(|l| (i, (r, l))))
-            .collect();
-        (writer, done)
-    } else {
-        (
-            journal::JournalWriter::create(path, digest)?,
-            std::collections::BTreeMap::new(),
-        )
-    };
-    run_grid_journaled_core(
-        jobs,
-        threads,
-        writer,
-        done,
-        on_done,
-        |job| {
-            let (result, report) =
-                run_traced(&job.profile, job.scheme, &job.cfg, &job.params, trace);
-            (result, report.latency)
-        },
-        |w, i, (result, lat)| w.append_traced(i, result, lat),
-    )
-}
-
-/// The scheduling/journaling engine shared by the plain and traced
-/// journaled grids, generic over the per-job record `R`: executes missing
-/// jobs with deal/steal workers, appends each record through `append` the
-/// moment its worker reports it, and reassembles everything in job order.
-fn run_grid_journaled_core<R, F>(
-    jobs: &[Job],
-    threads: usize,
-    mut writer: journal::JournalWriter,
-    done: std::collections::BTreeMap<usize, R>,
-    mut on_done: impl FnMut(usize, &R),
-    execute: F,
-    append: impl Fn(&mut journal::JournalWriter, usize, &R) -> Result<(), SilcFmError>,
-) -> Result<Vec<R>, SilcFmError>
-where
-    R: Send,
-    F: Fn(&Job) -> R + Sync,
-{
-    let mut slots: Vec<Option<R>> = Vec::new();
-    slots.resize_with(jobs.len(), || None);
+    let mut slots: Vec<Option<RunResult>> = vec![None; jobs.len()];
     for (index, result) in done {
         if let Some(slot) = slots.get_mut(index) {
             *slot = Some(result);
@@ -409,11 +343,12 @@ where
     // Each record hits the journal as its worker finishes, not after the
     // whole grid completes — a kill at any moment loses at most the jobs
     // still in flight.
-    run_pool(jobs, &todo, threads, execute, |idx, result| {
-        append(&mut writer, idx, &result)?;
-        on_done(idx, &result);
+    run_pool(jobs, &todo, threads, Job::execute, |idx, result| {
+        let record = (idx, result);
+        writer.append(&record)?;
+        on_done(idx, &record.1);
         if let Some(slot) = slots.get_mut(idx) {
-            *slot = Some(result);
+            *slot = Some(record.1);
         }
         Ok::<(), SilcFmError>(())
     })?;
@@ -423,21 +358,6 @@ where
         .enumerate()
         .map(|(i, r)| r.ok_or_else(|| SilcFmError::journal(format!("job {i} produced no result"))))
         .collect()
-}
-
-/// Runs `jobs` with full observability (see
-/// [`run_traced`](crate::experiment::run_traced)) across `threads` workers.
-/// Results and reports come back in job order — each job's tracers are its
-/// own, so the traces (and their exports) are byte-identical to a serial
-/// `run_traced` loop at any thread count.
-pub fn run_grid_traced(
-    jobs: &[Job],
-    trace: &TraceParams,
-    threads: usize,
-) -> Vec<(RunResult, ObsReport)> {
-    run_grid_with(jobs, threads, |job| {
-        run_traced(&job.profile, job.scheme, &job.cfg, &job.params, trace)
-    })
 }
 
 #[cfg(test)]
@@ -548,9 +468,9 @@ mod tests {
 
         // Simulate a run killed after three jobs: journal only a prefix.
         let digest = journal::grid_digest(&jobs);
-        let mut w = journal::JournalWriter::create(&path, digest).unwrap();
+        let mut w = JournalWriter::<GridCodec>::create(&path, digest).unwrap();
         for (i, r) in serial.iter().enumerate().take(3) {
-            w.append(i, r).unwrap();
+            w.append(&(i, r.clone())).unwrap();
         }
         drop(w);
 
@@ -568,59 +488,5 @@ mod tests {
         let _ = run_grid_journaled(&jobs[..2], 1, &path, false, |_, _| {}).unwrap();
         let err = run_grid_journaled(&jobs, 2, &path, true, |_, _| {}).unwrap_err();
         assert!(err.to_string().contains("different grid"), "{err}");
-    }
-
-    /// Breakdowns as comparable bytes: the sketch codec is bit-exact, so
-    /// string equality *is* distribution equality.
-    fn encode_all(pairs: &[(RunResult, silcfm_obs::LatencyBreakdown)]) -> Vec<String> {
-        pairs
-            .iter()
-            .map(|(_, lat)| {
-                let mut s = String::new();
-                lat.encode(&mut s);
-                s
-            })
-            .collect()
-    }
-
-    #[test]
-    fn traced_journal_resumes_byte_identically() {
-        let jobs = small_grid();
-        let trace = crate::experiment::TraceParams::default();
-        let path = tmp("traced.journal");
-        // One thread keeps journal lines in job order, which the crash
-        // surgery below relies on; the resumes exercise the pool.
-        let full = run_grid_traced_journaled(&jobs, &trace, 1, &path, false, |_, _| {}).unwrap();
-        let results: Vec<&RunResult> = full.iter().map(|(r, _)| r).collect();
-        let serial = run_grid_serial(&jobs);
-        assert_eq!(serial.iter().collect::<Vec<_>>(), results);
-
-        // Resume with everything sealed: nothing re-runs, and every
-        // breakdown comes back byte-identical from the journal.
-        let mut reran = 0;
-        let resumed =
-            run_grid_traced_journaled(&jobs, &trace, 2, &path, true, |_, _| reran += 1).unwrap();
-        assert_eq!(reran, 0);
-        assert_eq!(encode_all(&full), encode_all(&resumed));
-
-        // Kill mid-grid: keep the header, job 0's sealed two-line record,
-        // and job 1's `lat` line *without* its sealing `job` line — exactly
-        // the crash window inside `append_traced`. The orphan's job re-runs
-        // and the final percentile plane is still byte-identical.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let keep: String = text.lines().take(4).map(|l| format!("{l}\n")).collect();
-        assert!(
-            keep.lines().nth(3).is_some_and(|l| l.starts_with("lat 1 ")),
-            "test premise: line 3 is job 1's lat record"
-        );
-        let partial = tmp("traced-partial.journal");
-        std::fs::write(&partial, keep).unwrap();
-        let mut executed = Vec::new();
-        let resumed =
-            run_grid_traced_journaled(&jobs, &trace, 1, &partial, true, |i, _| executed.push(i))
-                .unwrap();
-        executed.sort_unstable();
-        assert_eq!(executed, vec![1, 2, 3, 4, 5], "orphaned job 1 re-runs");
-        assert_eq!(encode_all(&full), encode_all(&resumed));
     }
 }

@@ -4,17 +4,18 @@
 //! Run with: `cargo run --release --example scheme_shootout -- [workload]`
 //! (default `lib`; any Table III name works, e.g. `mcf`, `milc`, `gcc`).
 //!
-//! The scheme grid runs twice — once serially, once through the parallel
-//! worker pool (`silc_fm::sim::run_grid`, thread count from
-//! `SILCFM_THREADS` or the machine) — and prints both wall-clock times
-//! along with a check that the two paths produced identical results.
+//! The scheme grid runs twice — once serially and untraced, once traced
+//! through the parallel worker pool (`silc_fm::sim::run_grid_spec` with a
+//! ring-tier `RunSpec`, thread count from `SILCFM_THREADS` or the machine)
+//! — and prints both wall-clock times along with a check that the two
+//! paths produced identical results.
 
 // silcfm-lint: allow-file(D2) -- a demo binary that *reports* wall-clock speedup; timing is its output, not an input to any simulated result
 use std::time::Instant;
 
 use silc_fm::obs::{Align, TextTable};
 use silc_fm::sim::{
-    run_grid_serial, run_grid_traced, ExperimentGrid, RunParams, SchemeKind, TraceParams,
+    run_grid_serial, run_grid_spec, ExperimentGrid, Observe, RunParams, RunSpec, SchemeKind,
 };
 use silc_fm::trace::profiles;
 use silc_fm::types::SystemConfig;
@@ -44,11 +45,18 @@ fn main() {
     // RunResults are bit-identical to the untraced serial pass (checked
     // below), so timing and the tail columns come from one run.
     let t1 = Instant::now();
-    let trace = TraceParams {
-        events_capacity: 1 << 14,
-        ..TraceParams::default_capture()
+    let spec = RunSpec {
+        observe: Observe::Ring {
+            events_capacity: 1 << 14,
+            epoch_cycles: Observe::CAPTURE_EPOCH_CYCLES,
+        },
+        faults: None,
     };
-    let parallel = run_grid_traced(&jobs, &trace, threads);
+    let parallel: Vec<_> = run_grid_spec(&jobs, &spec, threads)
+        .expect("fault-free grid")
+        .into_iter()
+        .map(|out| (out.result, out.report.expect("the ring tier reports")))
+        .collect();
     let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
 
     let identical = serial

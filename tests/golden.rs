@@ -17,7 +17,9 @@
 use std::fmt::Write as _;
 
 use silc_fm::sim::experiment::space_for;
-use silc_fm::sim::{run_grid, run_grid_serial, ExperimentGrid, Job, RunParams, SchemeKind};
+use silc_fm::sim::{
+    run_grid, run_grid_serial, ExperimentGrid, Job, RunParams, RunResult, SchemeKind,
+};
 use silc_fm::trace::{PageMapper, PlacementPolicy, WorkloadGen};
 use silc_fm::types::{Access, CoreId, SchemeOutcome, SystemConfig};
 
@@ -162,6 +164,33 @@ fn outcome_reuse_matches_fresh_outcomes() {
     }
 }
 
+/// The ring tier both traced tests run: 16 Ki events per tracer, a
+/// sample every 50 k cycles.
+const TRACED: silc_fm::sim::RunSpec = silc_fm::sim::RunSpec {
+    observe: silc_fm::sim::Observe::Ring {
+        events_capacity: 1 << 14,
+        epoch_cycles: 50_000,
+    },
+    faults: None,
+};
+
+/// `jobs` on the [`TRACED`] tier across `threads` workers, in job order.
+fn traced_grid(jobs: &[Job], threads: usize) -> Vec<(RunResult, silc_fm::obs::ObsReport)> {
+    silc_fm::sim::run_grid_spec(jobs, &TRACED, threads)
+        .unwrap()
+        .into_iter()
+        .map(|out| (out.result, out.report.unwrap()))
+        .collect()
+}
+
+/// One job on the [`TRACED`] tier, alone: its report.
+fn traced_run(job: &Job) -> silc_fm::obs::ObsReport {
+    silc_fm::sim::run_spec(&job.profile, job.scheme, &job.cfg, &job.params, &TRACED)
+        .unwrap()
+        .report
+        .unwrap()
+}
+
 /// Tracing is observation only. Running the whole snapshot grid with the
 /// ring tracers, demand-latency histograms and epoch sampler live must
 /// reproduce the untraced stats digest bit for bit — the `T::ENABLED` emit
@@ -171,16 +200,11 @@ fn outcome_reuse_matches_fresh_outcomes() {
 #[test]
 fn tracing_is_behavior_neutral_and_deterministic() {
     use silc_fm::obs::export;
-    use silc_fm::sim::{run_grid_traced, run_traced, TraceParams};
 
     let jobs = snapshot_jobs();
     let untraced = digest(&run_grid_serial(&jobs));
 
-    let trace = TraceParams {
-        events_capacity: 1 << 14,
-        epoch_cycles: 50_000,
-    };
-    let traced = run_grid_traced(&jobs, &trace, 4);
+    let traced = traced_grid(&jobs, 4);
     let results: Vec<_> = traced.iter().map(|(r, _)| r.clone()).collect();
     assert_eq!(
         digest(&results),
@@ -191,8 +215,7 @@ fn tracing_is_behavior_neutral_and_deterministic() {
     // Byte-identical exports, serial vs parallel, spot-checked on a few
     // cells (the full grid above already pins the numeric digest).
     for (job, (_, parallel_report)) in jobs.iter().zip(&traced).take(3) {
-        let (_, serial_report) =
-            run_traced(&job.profile, job.scheme, &job.cfg, &job.params, &trace);
+        let serial_report = traced_run(job);
         assert_eq!(
             export::chrome_trace(&serial_report),
             export::chrome_trace(parallel_report),
@@ -216,12 +239,6 @@ fn tracing_is_behavior_neutral_and_deterministic() {
 /// the grid aggregation rely on.
 #[test]
 fn latency_sketches_are_byte_identical_serial_vs_parallel_grid() {
-    use silc_fm::sim::{run_grid_traced, run_traced, TraceParams};
-
-    let trace = TraceParams {
-        events_capacity: 1 << 14,
-        epoch_cycles: 50_000,
-    };
     // A slice of the snapshot grid with class diversity: SILC-FM exercises
     // swap/bypass/lock paths, HMA the epoch-migration path.
     let jobs: Vec<Job> = snapshot_jobs()
@@ -242,10 +259,9 @@ fn latency_sketches_are_byte_identical_serial_vs_parallel_grid() {
         report.latency.encode(&mut bytes);
         bytes
     };
-    let parallel = run_grid_traced(&jobs, &trace, 2);
+    let parallel = traced_grid(&jobs, 2);
     for (job, (_, parallel_report)) in jobs.iter().zip(&parallel) {
-        let (_, serial_report) =
-            run_traced(&job.profile, job.scheme, &job.cfg, &job.params, &trace);
+        let serial_report = traced_run(job);
         assert!(
             serial_report.latency.count() > 0,
             "the percentile plane must see samples"

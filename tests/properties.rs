@@ -584,7 +584,7 @@ fn ecc_outcomes_track_configured_probabilities() {
 /// missing ones reproduces the uninterrupted journal byte for byte.
 #[test]
 fn journal_resume_recovers_exactly_the_complete_prefix() {
-    use silc_fm::sim::journal::{resume, JournalWriter};
+    use silc_fm::sim::journal::{resume, GridCodec, JournalWriter};
     use silc_fm::sim::{RunResult, TrafficTally};
     use silc_fm::types::SchemeStats;
 
@@ -639,9 +639,9 @@ fn journal_resume_recovers_exactly_the_complete_prefix() {
                 rng.gen_range(0u64..u64::MAX)
             ));
 
-            let mut w = JournalWriter::create(&path, digest).unwrap();
+            let mut w = JournalWriter::<GridCodec>::create(&path, digest).unwrap();
             for (i, r) in results.iter().enumerate() {
-                w.append(i, r).unwrap();
+                w.append(&(i, r.clone())).unwrap();
             }
             drop(w);
             let full = std::fs::read(&path).unwrap();
@@ -651,7 +651,7 @@ fn journal_resume_recovers_exactly_the_complete_prefix() {
             let cut = rng.gen_range(header_end..=full.len());
             std::fs::write(&path, &full[..cut]).unwrap();
 
-            let (mut w2, done) = resume(&path, digest).unwrap();
+            let (mut w2, done) = resume::<GridCodec>(&path, digest).unwrap();
             let ends: Vec<usize> = full
                 .iter()
                 .enumerate()
@@ -667,7 +667,7 @@ fn journal_resume_recovers_exactly_the_complete_prefix() {
 
             // Finishing the interrupted run reproduces the uninterrupted file.
             for (i, r) in results.iter().enumerate().skip(survived) {
-                w2.append(i, r).unwrap();
+                w2.append(&(i, r.clone())).unwrap();
             }
             drop(w2);
             assert_eq!(std::fs::read(&path).unwrap(), full);
@@ -678,6 +678,100 @@ fn journal_resume_recovers_exactly_the_complete_prefix() {
 
 // ---- whole-run determinism -------------------------------------------------
 
+/// Observation and the fault plane are orthogonal to what is simulated:
+/// for every scheme, every observability tier and faults off or harsh, a
+/// run's result and fault ledger equal the untraced run's under the same
+/// faults. The tiers differ only in what they return, and the metrics
+/// tier's latency-percentile plane is byte-identical to the ring tier's.
+#[test]
+fn every_tier_and_fault_combination_is_behavior_neutral() {
+    use silc_fm::fault::FaultRates;
+    use silc_fm::sim::{run, run_spec, FaultParams, Observe, RunParams, RunSpec, SchemeKind};
+    use silc_fm::types::SystemConfig;
+
+    let profile = silc_fm::trace::profiles::by_name("milc").unwrap();
+    let cfg = SystemConfig::small();
+    let params = RunParams {
+        accesses_per_core: 2_000,
+        ..RunParams::smoke()
+    };
+    let tiers = [
+        Observe::Metrics {
+            epoch_cycles: 50_000,
+        },
+        Observe::Sampled {
+            events_capacity: 1 << 12,
+            period: 16,
+            epoch_cycles: Some(50_000),
+        },
+        Observe::Sampled {
+            events_capacity: 1 << 12,
+            period: 16,
+            epoch_cycles: None,
+        },
+        Observe::Ring {
+            events_capacity: 1 << 12,
+            epoch_cycles: 50_000,
+        },
+    ];
+    let harsh = FaultParams {
+        fault_seed: 41,
+        horizon_cycles: 3_000_000,
+        rates: FaultRates::harsh(),
+    };
+    let latency = |out: &silc_fm::sim::RunOutput| {
+        let mut bytes = String::new();
+        out.report.as_ref().unwrap().latency.encode(&mut bytes);
+        bytes
+    };
+
+    for scheme in SchemeKind::fig7_lineup()
+        .into_iter()
+        .chain([SchemeKind::NoNm])
+    {
+        for faults in [None, Some(harsh)] {
+            let spec = |observe| RunSpec { observe, faults };
+            let off = run_spec(profile, scheme, &cfg, &params, &spec(Observe::Off)).unwrap();
+            let case = format!("{}/faults={}", scheme.label(), faults.is_some());
+            assert!(off.report.is_none() && off.counters.is_none(), "{case}");
+            if let Some(stats) = off.fault_stats {
+                assert!(stats.injected > 0, "{case}: harsh rates injected nothing");
+            }
+            assert_eq!(off.fault_stats.is_some(), faults.is_some(), "{case}");
+            if faults.is_none() {
+                assert_eq!(off.result, run(profile, scheme, &cfg, &params), "{case}");
+            }
+            let mut planes = Vec::new();
+            for observe in tiers {
+                let out = run_spec(profile, scheme, &cfg, &params, &spec(observe)).unwrap();
+                assert_eq!(out.result, off.result, "{case} {observe:?}: result moved");
+                assert_eq!(
+                    out.fault_stats, off.fault_stats,
+                    "{case} {observe:?}: fault ledger moved"
+                );
+                let sampled = matches!(observe, Observe::Sampled { .. });
+                assert_eq!(out.counters.is_some(), sampled, "{case} {observe:?}");
+                let lean = matches!(
+                    observe,
+                    Observe::Sampled {
+                        epoch_cycles: None,
+                        ..
+                    }
+                );
+                assert_eq!(out.report.is_none(), lean, "{case} {observe:?}");
+                if matches!(observe, Observe::Metrics { .. } | Observe::Ring { .. }) {
+                    planes.push(latency(&out));
+                }
+            }
+            assert_eq!(planes.len(), 2);
+            assert_eq!(
+                planes[0], planes[1],
+                "{case}: metrics and ring planes differ"
+            );
+        }
+    }
+}
+
 /// The heavyweight run modes replay exactly and stay honest, for random run
 /// sizes and seeds: a traced run reproduces the untraced result digest and
 /// exports byte-identical Chrome traces and CSV series on a second run, and
@@ -687,9 +781,7 @@ fn journal_resume_recovers_exactly_the_complete_prefix() {
 fn traced_and_faulted_runs_replay_and_conserve() {
     use silc_fm::fault::FaultRates;
     use silc_fm::obs::export;
-    use silc_fm::sim::{
-        run, run_faulted, run_traced, FaultParams, RunParams, SchemeKind, TraceParams,
-    };
+    use silc_fm::sim::{run, run_spec, FaultParams, Observe, RunParams, RunSpec, SchemeKind};
     use silc_fm::types::{FxHasher, SystemConfig};
     use std::hash::Hasher as _;
 
@@ -710,13 +802,20 @@ fn traced_and_faulted_runs_replay_and_conserve() {
         };
 
         // Tracing on: results unchanged, exported artifacts reproducible.
-        let trace = TraceParams {
-            events_capacity: 1 << 14,
-            epoch_cycles: 50_000,
+        let traced = |spec: &RunSpec| {
+            let out = run_spec(profile, scheme, &cfg, &params, spec).unwrap();
+            (out.result, out.report.unwrap())
+        };
+        let trace = RunSpec {
+            observe: Observe::Ring {
+                events_capacity: 1 << 14,
+                epoch_cycles: 50_000,
+            },
+            faults: None,
         };
         let plain = run(profile, scheme, &cfg, &params);
-        let (ar, a_report) = run_traced(profile, scheme, &cfg, &params, &trace);
-        let (br, b_report) = run_traced(profile, scheme, &cfg, &params, &trace);
+        let (ar, a_report) = traced(&trace);
+        let (br, b_report) = traced(&trace);
         assert_eq!(digest(&ar), digest(&plain), "tracing changed the result");
         assert_eq!(digest(&br), digest(&ar), "traced results diverged");
         assert_eq!(
@@ -737,8 +836,16 @@ fn traced_and_faulted_runs_replay_and_conserve() {
             horizon_cycles: 3_000_000,
             rates: FaultRates::harsh(),
         };
-        let (fr, f_stats) = run_faulted(profile, scheme, &cfg, &params, &faults).unwrap();
-        let (gr, g_stats) = run_faulted(profile, scheme, &cfg, &params, &faults).unwrap();
+        let faulted = || {
+            let spec = RunSpec {
+                observe: Observe::Off,
+                faults: Some(faults),
+            };
+            let out = run_spec(profile, scheme, &cfg, &params, &spec).unwrap();
+            (out.result, out.fault_stats.unwrap())
+        };
+        let (fr, f_stats) = faulted();
+        let (gr, g_stats) = faulted();
         assert_eq!(digest(&gr), digest(&fr), "faulted results diverged");
         assert_eq!(g_stats, f_stats, "fault ledgers diverged");
         assert!(f_stats.conserved());
@@ -909,6 +1016,7 @@ fn access_batch_is_bit_identical_to_the_scalar_loop() {
 /// faults (degrade, bit flips, parity, repair) land between batches.
 #[test]
 fn access_batch_matches_scalar_under_tracing_and_faults() {
+    use silc_fm::obs::SamplingTracer;
     use silc_fm::sim::SchemeKind;
     use silc_fm::types::fault::EccOutcome;
     use silc_fm::types::{BatchOutcome, SchemeFault, SchemeOutcome};
@@ -922,8 +1030,9 @@ fn access_batch_matches_scalar_under_tracing_and_faults() {
             let period = [1u64, 16, 256][rng.gen_range(0usize..3)];
             let kind = SchemeKind::silcfm();
             let total = accesses.len() as u64;
-            let mut scalar = kind.build_sampled(space(), total, 1 << 10, period);
-            let mut batched = kind.build_sampled(space(), total, 1 << 10, period);
+            let tracer = || SamplingTracer::with_capacity(1 << 10, period);
+            let mut scalar = kind.build_with_tracer(space(), total, tracer());
+            let mut batched = kind.build_with_tracer(space(), total, tracer());
 
             let arb_fault = |rng: &mut Xoshiro256StarStar| match rng.gen_range(0u64..4) {
                 0 => SchemeFault::DegradeWay {
