@@ -17,26 +17,20 @@
 //! (serial vs the parallel grid runner) so whole-grid speed is tracked alongside
 //! per-access speed. Results land in `results/BENCH_throughput.json`.
 //!
-//! The scheme-only layer is measured twice: access-at-a-time through
-//! [`MemoryScheme::access`], and in chunks of `--batch` accesses through
-//! [`MemoryScheme::access_batch`]. Before the batched layer is timed, a
-//! digest gate replays every stream both ways and asserts the op streams,
-//! service decisions, stalls, and end-of-run stats are byte-identical —
-//! a batched rate that changed the answer would be worthless.
-//!
 //! Run with: `cargo run --release -p silcfm-bench --bin throughput`
 //! Options:
 //!   --budget N    accesses per scheme per layer (default 560000)
-//!   --batch N     accesses per `access_batch` call in the batched layer
-//!                 (default 4096)
-//!   --repeats N   repetitions per measurement; best rate wins (default 3)
+//!   --repeats N   repetitions per measurement; best rate wins (default 3);
+//!                 with `--overhead`, also the number of paired rounds
 //!   --out PATH    output JSON path (default results/BENCH_throughput.json)
 //!   --no-write    measure and print, but do not write the JSON
 //!   --skip-grid   skip the serial-vs-parallel grid timing
 //!   --overhead    also measure SILC-FM full-system with the ring tracers
 //!                 and epoch sampler live (tracer-on vs tracer-off acc/s),
 //!                 the metrics-only tier (latency sketches ON, no event
-//!                 buffering), plus the sampling tracer at 1-in-N rates
+//!                 buffering), plus the sampling tracer at 1-in-N rates;
+//!                 each tier is priced by the median of its per-round
+//!                 ratios to the same round's untraced rate
 //!   --baseline P  JSON from a pre-change build of this binary; its rates
 //!                 are embedded as "pre_change" and a full-system SILC-FM
 //!                 speedup ratio is computed against it
@@ -44,9 +38,9 @@
 //! Each measurement is repeated `--repeats` times and the best rate is
 //! reported: minimum-time estimation discards interference from whatever
 //! else the host is running, which on shared machines dwarfs the
-//! simulator's own run-to-run variation.
+//! simulator's own run-to-run variation. Invalid option values print the
+//! usage line and exit 2 before anything is measured.
 
-use std::hash::Hasher as _;
 use std::time::Instant;
 
 use silcfm_sim::experiment::space_for;
@@ -54,13 +48,10 @@ use silcfm_sim::{
     run_grid, run_grid_serial, run_spec, ExperimentGrid, Observe, RunParams, RunSpec, SchemeKind,
 };
 use silcfm_trace::{profiles, PageMapper, PlacementPolicy, WorkloadGen};
-use silcfm_types::{Access, BatchOutcome, CoreId, FxHasher, MemKind, MemOp, SystemConfig};
+use silcfm_types::{Access, CoreId, SystemConfig};
 
 /// Default accesses per scheme per layer, spread over the profiles.
 const DEFAULT_BUDGET: u64 = 560_000;
-
-/// Default accesses per `access_batch` call in the batched layer.
-const DEFAULT_BATCH: u64 = 4096;
 
 /// Ring capacity for the `--overhead` regimes. The timed region includes
 /// system construction (as it does for the untraced rate, so both sides
@@ -78,7 +69,6 @@ const SAMPLING_PERIODS: [u64; 2] = [16, 256];
 
 struct Options {
     budget: u64,
-    batch: u64,
     repeats: u32,
     out: String,
     write: bool,
@@ -90,7 +80,6 @@ struct Options {
 fn parse_args() -> Options {
     let mut opts = Options {
         budget: DEFAULT_BUDGET,
-        batch: DEFAULT_BATCH,
         repeats: 3,
         out: "results/BENCH_throughput.json".to_string(),
         write: true,
@@ -101,36 +90,52 @@ fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--budget" => {
-                let v = args.next().expect("--budget needs a value");
-                opts.budget = v.parse().expect("--budget must be an integer");
-            }
-            "--batch" => {
-                let v = args.next().expect("--batch needs a value");
-                opts.batch = v.parse().expect("--batch must be an integer");
-                assert!(opts.batch > 0, "--batch must be positive");
-            }
-            "--repeats" => {
-                let v = args.next().expect("--repeats needs a value");
-                opts.repeats = v.parse().expect("--repeats must be an integer");
-                assert!(opts.repeats > 0, "--repeats must be positive");
-            }
-            "--out" => opts.out = args.next().expect("--out needs a path"),
+            "--budget" => opts.budget = positive(&arg, args.next()),
+            "--repeats" => opts.repeats = positive(&arg, args.next()),
+            "--out" => opts.out = value(&arg, args.next()),
             "--no-write" => opts.write = false,
             "--skip-grid" => opts.grid = false,
             "--overhead" => opts.overhead = true,
-            "--baseline" => opts.baseline = Some(args.next().expect("--baseline needs a path")),
-            other => {
-                eprintln!("unknown argument '{other}'");
-                eprintln!(
-                    "usage: throughput [--budget N] [--batch N] [--repeats N] [--out PATH] \
-                     [--no-write] [--skip-grid] [--overhead] [--baseline PATH]"
-                );
-                std::process::exit(2);
+            "--baseline" => opts.baseline = Some(value(&arg, args.next())),
+            other => usage_exit(&format!("unknown argument '{other}'")),
+        }
+    }
+    // A bad `--out` must fail before the measurement, not after it.
+    if opts.write {
+        let out = std::path::Path::new(&opts.out);
+        if out.is_dir() {
+            usage_exit(&format!("--out {} is a directory", opts.out));
+        }
+        if let Some(dir) = out.parent() {
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                usage_exit(&format!("--out: cannot create {}: {e}", dir.display()));
             }
         }
     }
     opts
+}
+
+/// `flag`'s value, or the usage line and exit 2 when it is missing.
+fn value(flag: &str, value: Option<String>) -> String {
+    value.unwrap_or_else(|| usage_exit(&format!("{flag} needs a value")))
+}
+
+/// `flag`'s value parsed as a positive integer, or the usage line and exit 2.
+fn positive<T: std::str::FromStr + Default + PartialOrd>(flag: &str, v: Option<String>) -> T {
+    let v = value(flag, v);
+    match v.parse::<T>() {
+        Ok(n) if n > T::default() => n,
+        _ => usage_exit(&format!("{flag} must be a positive integer, got '{v}'")),
+    }
+}
+
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!(
+        "usage: throughput [--budget N] [--repeats N] [--out PATH] [--no-write] \
+         [--skip-grid] [--overhead] [--baseline PATH]"
+    );
+    std::process::exit(2);
 }
 
 /// The benchmark lineup: the no-NM baseline plus the Fig. 7 schemes.
@@ -202,115 +207,6 @@ fn scheme_only_rate(
     best
 }
 
-/// Accesses/sec for one scheme with the stream driven through
-/// `MemoryScheme::access_batch` in chunks of `batch` accesses — the hot
-/// path the figure harnesses can amortize virtual dispatch and outcome
-/// bookkeeping over.
-fn scheme_only_batched_rate(
-    kind: SchemeKind,
-    streams: &[(silcfm_types::AddressSpace, Vec<Access>)],
-    batch: u64,
-    repeats: u32,
-) -> f64 {
-    let batch = usize::try_from(batch.max(1)).unwrap_or(usize::MAX);
-    let mut best = 0.0f64;
-    for _ in 0..repeats {
-        let mut total = 0u64;
-        let mut elapsed = 0.0f64;
-        let mut sink = 0u64;
-        let mut out = BatchOutcome::new();
-        for (space, stream) in streams {
-            let mut scheme = kind.build(*space, stream.len() as u64);
-            let t0 = Instant::now();
-            for chunk in stream.chunks(batch) {
-                scheme.access_batch(chunk, &mut out);
-                sink ^= out.critical_bytes().wrapping_add(out.background_bytes());
-            }
-            elapsed += t0.elapsed().as_secs_f64();
-            total += stream.len() as u64;
-        }
-        std::hint::black_box(sink);
-        best = best.max(total as f64 / elapsed);
-    }
-    best
-}
-
-/// Folds one access's outcome — op streams, service decision, stall — into
-/// a digest. Used identically on the scalar and batched replays below.
-fn hash_outcome<'a>(
-    h: &mut FxHasher,
-    critical: impl Iterator<Item = &'a MemOp>,
-    background: impl Iterator<Item = &'a MemOp>,
-    serviced_from: MemKind,
-    stall: u64,
-) {
-    for op in critical {
-        h.write(format!("{op:?}").as_bytes());
-    }
-    h.write_u8(0xC1);
-    for op in background {
-        h.write(format!("{op:?}").as_bytes());
-    }
-    h.write_u8(0xB6);
-    h.write(format!("{serviced_from:?}").as_bytes());
-    h.write_u64(stall);
-}
-
-/// The digest gate in front of the batched layer: replays every stream
-/// access-at-a-time and in `batch`-sized chunks against fresh schemes and
-/// panics unless both produce byte-identical per-access outcomes and
-/// end-of-run stats. A batched rate measured on a path that changed the
-/// answer would be worthless, so this runs before any batched timing.
-fn batch_digest_gate(
-    kind: SchemeKind,
-    streams: &[(silcfm_types::AddressSpace, Vec<Access>)],
-    batch: u64,
-) {
-    let chunk_len = usize::try_from(batch.max(1)).unwrap_or(usize::MAX);
-    let mut scalar = FxHasher::default();
-    let mut out = silcfm_types::SchemeOutcome::empty();
-    for (space, stream) in streams {
-        let mut scheme = kind.build(*space, stream.len() as u64);
-        for access in stream {
-            scheme.access(access, &mut out);
-            hash_outcome(
-                &mut scalar,
-                out.critical.iter(),
-                out.background.iter(),
-                out.serviced_from,
-                out.global_stall_cycles,
-            );
-        }
-        scalar.write(format!("{:?}", scheme.stats()).as_bytes());
-    }
-
-    let mut batched = FxHasher::default();
-    let mut bout = BatchOutcome::new();
-    for (space, stream) in streams {
-        let mut scheme = kind.build(*space, stream.len() as u64);
-        for chunk in stream.chunks(chunk_len) {
-            scheme.access_batch(chunk, &mut bout);
-            for view in bout.iter() {
-                hash_outcome(
-                    &mut batched,
-                    view.critical.iter(),
-                    view.background.iter(),
-                    view.serviced_from,
-                    view.global_stall_cycles,
-                );
-            }
-        }
-        batched.write(format!("{:?}", scheme.stats()).as_bytes());
-    }
-
-    assert_eq!(
-        scalar.finish(),
-        batched.finish(),
-        "{}: access_batch(batch={batch}) diverged from the scalar access path",
-        kind.label()
-    );
-}
-
 /// Accesses/sec for one scheme through the full `System::run` pipeline
 /// with `spec`'s observability tier live. Against the untraced
 /// (`Observe::Off`) rate, the gap is the price of the tier:
@@ -356,14 +252,49 @@ fn full_system_rate(
     best
 }
 
-/// What `--overhead` measured: the ring tier on/off pair, the metrics-only
-/// (latency-sketch) tier, plus the sampling tier's rate at each period of
-/// [`SAMPLING_PERIODS`].
+/// What `--overhead` measured: the untraced rate, the ring tier, the
+/// metrics-only (latency-sketch) tier, plus the sampling tier at each period
+/// of [`SAMPLING_PERIODS`].
 struct Overhead {
     off: f64,
-    on: f64,
-    metrics: f64,
-    sampled: Vec<(u64, f64)>,
+    on: Tier,
+    metrics: Tier,
+    sampled: Vec<(u64, Tier)>,
+}
+
+/// One observability tier's price: its median rate and the median of its
+/// per-round ratios to the same round's untraced rate. Pairing by round
+/// cancels the host drift that swamps a comparison of separate best-ofs.
+struct Tier {
+    acc_s: f64,
+    on_over_off: f64,
+}
+
+impl Tier {
+    fn paired(rates: &[f64], off: &[f64]) -> Self {
+        let ratios: Vec<f64> = rates.iter().zip(off).map(|(r, o)| r / o).collect();
+        Self {
+            acc_s: median(rates),
+            on_over_off: median(&ratios),
+        }
+    }
+
+    /// Percent slower than untraced.
+    fn overhead_pct(&self) -> f64 {
+        (1.0 - self.on_over_off) * 100.0
+    }
+}
+
+/// The median of a non-empty sample (mean of the middle pair when even).
+fn median(values: &[f64]) -> f64 {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len().is_multiple_of(2) {
+        (v[mid - 1] + v[mid]) / 2.0
+    } else {
+        v[mid]
+    }
 }
 
 /// Times the `scheme_shootout` grid serially and through the parallel pool.
@@ -423,11 +354,13 @@ fn extract_rate(body: &str, name: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// Reads `--baseline` before anything is measured, so an unreadable file
+/// is a usage error rather than a panic after the whole run.
 fn load_baseline(path: &str) -> Baseline {
     let json = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let full_system =
-        extract_object(&json, "full_system").expect("baseline JSON has no full_system section");
+        .unwrap_or_else(|e| usage_exit(&format!("--baseline: cannot read {path}: {e}")));
+    let full_system = extract_object(&json, "full_system")
+        .unwrap_or_else(|| usage_exit(&format!("--baseline: {path} has no full_system section")));
     let scheme_only = extract_object(&json, "scheme_only").unwrap_or_default();
     Baseline {
         silcfm_full_system: extract_rate(&full_system, "silcfm"),
@@ -439,6 +372,7 @@ fn load_baseline(path: &str) -> Baseline {
 
 fn main() {
     let opts = parse_args();
+    let baseline = opts.baseline.as_deref().map(load_baseline);
     let cfg = SystemConfig::small();
     let params = RunParams::smoke();
     let n_profiles = profiles::all().len() as u64;
@@ -454,18 +388,13 @@ fn main() {
     let streams = generate_streams(&cfg, &params, per_profile);
 
     let mut scheme_only: Vec<(&'static str, f64)> = Vec::new();
-    let mut scheme_only_batched: Vec<(&'static str, f64)> = Vec::new();
     let mut full_system: Vec<(&'static str, f64)> = Vec::new();
     println!(
-        "\n{:8} {:>18} {:>18} {:>18}",
-        "scheme", "scheme-only acc/s", "batched acc/s", "full-system acc/s"
+        "\n{:8} {:>18} {:>18}",
+        "scheme", "scheme-only acc/s", "full-system acc/s"
     );
     for kind in lineup() {
-        // The gate first: no batched number is printed for a scheme whose
-        // batched path does not reproduce the scalar one exactly.
-        batch_digest_gate(kind, &streams, opts.batch);
         let so = scheme_only_rate(kind, &streams, opts.repeats);
-        let sb = scheme_only_batched_rate(kind, &streams, opts.batch, opts.repeats);
         let fs = full_system_rate(
             kind,
             &cfg,
@@ -474,31 +403,24 @@ fn main() {
             opts.repeats,
             &RunSpec::default(),
         );
-        println!("{:8} {:>18.0} {:>18.0} {:>18.0}", kind.label(), so, sb, fs);
+        println!("{:8} {:>18.0} {:>18.0}", kind.label(), so, fs);
         scheme_only.push((kind.label(), so));
-        scheme_only_batched.push((kind.label(), sb));
         full_system.push((kind.label(), fs));
     }
-    println!(
-        "batch digest gate: ok for all schemes (batch={}, byte-identical to scalar)",
-        opts.batch
-    );
 
     let overhead = if opts.overhead {
         let kind = SchemeKind::silcfm();
-        // Round-robin the regimes (off, ring-on, each sampling period) inside
-        // every repeat instead of measuring each regime `repeats` times in a
-        // row: on a noisy shared host the noise window drifts over seconds,
-        // and back-to-back regimes see the same window while block-sequential
-        // ones can see entirely different machines. Best-of per regime across
-        // rounds keeps the ratios honest.
-        let mut off = 0.0f64;
-        let mut on = 0.0f64;
-        let mut metrics = 0.0f64;
-        let mut sampled: Vec<(u64, f64)> = SAMPLING_PERIODS
-            .iter()
-            .map(|&period| (period, 0.0))
-            .collect();
+        // Round-robin the regimes (off, ring-on, metrics-only, each sampling
+        // period) inside every repeat instead of measuring each regime
+        // `repeats` times in a row: on a noisy shared host the noise window
+        // drifts over seconds, and back-to-back regimes see the same window
+        // while block-sequential ones can see entirely different machines.
+        // Each tier is then priced by its ratio to the same round's
+        // untraced rate, the pairing `regress` gates on.
+        let mut off = Vec::new();
+        let mut on = Vec::new();
+        let mut metrics = Vec::new();
+        let mut sampled: Vec<Vec<f64>> = vec![Vec::new(); SAMPLING_PERIODS.len()];
         let rate = |observe| {
             let spec = RunSpec {
                 observe,
@@ -507,41 +429,49 @@ fn main() {
             full_system_rate(kind, &cfg, &params, per_profile, 1, &spec)
         };
         let epoch_cycles = Observe::CAPTURE_EPOCH_CYCLES;
-        for _ in 0..opts.repeats.max(1) {
-            off = off.max(rate(Observe::Off));
-            on = on.max(rate(Observe::Ring {
+        for _ in 0..opts.repeats {
+            off.push(rate(Observe::Off));
+            on.push(rate(Observe::Ring {
                 events_capacity: OVERHEAD_EVENTS_CAPACITY,
                 epoch_cycles,
             }));
-            metrics = metrics.max(rate(Observe::Metrics { epoch_cycles }));
-            for entry in &mut sampled {
-                let sampled_rate = rate(Observe::Sampled {
+            metrics.push(rate(Observe::Metrics { epoch_cycles }));
+            for (&period, rates) in SAMPLING_PERIODS.iter().zip(&mut sampled) {
+                rates.push(rate(Observe::Sampled {
                     events_capacity: OVERHEAD_EVENTS_CAPACITY,
-                    period: entry.0,
+                    period,
                     epoch_cycles: None,
-                });
-                entry.1 = entry.1.max(sampled_rate);
+                }));
             }
         }
+        let on = Tier::paired(&on, &off);
+        let metrics = Tier::paired(&metrics, &off);
+        let sampled: Vec<(u64, Tier)> = SAMPLING_PERIODS
+            .iter()
+            .zip(&sampled)
+            .map(|(&period, rates)| (period, Tier::paired(rates, &off)))
+            .collect();
+        let off = median(&off);
         println!(
-            "\nsilcfm full-system tracing overhead: {:.0} acc/s off, {:.0} acc/s on \
-             ({:.1}% slower)",
+            "\nsilcfm full-system tracing overhead (paired rounds: {}): \
+             {:.0} acc/s off, {:.0} acc/s on ({:.1}% slower)",
+            opts.repeats,
             off,
-            on,
-            (1.0 - on / off) * 100.0
+            on.acc_s,
+            on.overhead_pct()
         );
         println!(
             "silcfm full-system latency sketches only: {:.0} acc/s \
              ({:.1}% slower than untraced)",
-            metrics,
-            (1.0 - metrics / off) * 100.0
+            metrics.acc_s,
+            metrics.overhead_pct()
         );
-        for &(period, rate) in &sampled {
+        for (period, tier) in &sampled {
             println!(
                 "silcfm full-system sampling tracer 1-in-{period}: {:.0} acc/s \
                  ({:.1}% slower than untraced)",
-                rate,
-                (1.0 - rate / off) * 100.0
+                tier.acc_s,
+                tier.overhead_pct()
             );
         }
         Some(Overhead {
@@ -571,7 +501,6 @@ fn main() {
         None
     };
 
-    let baseline = opts.baseline.as_deref().map(load_baseline);
     if let Some(b) = &baseline {
         let find = |pairs: &[(&'static str, f64)]| {
             pairs
@@ -602,16 +531,11 @@ fn main() {
             opts.budget,
             per_profile * n_profiles,
             &scheme_only,
-            &scheme_only_batched,
-            opts.batch,
             &full_system,
             grid,
             overhead.as_ref(),
             baseline.as_ref(),
         );
-        if let Some(dir) = std::path::Path::new(&opts.out).parent() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
         std::fs::write(&opts.out, json).expect("write results JSON");
         println!("\nwrote {}", opts.out);
     }
@@ -623,8 +547,6 @@ fn render_json(
     budget: u64,
     accesses: u64,
     scheme_only: &[(&'static str, f64)],
-    scheme_only_batched: &[(&'static str, f64)],
-    batch: u64,
     full_system: &[(&'static str, f64)],
     grid: Option<(usize, usize, f64, f64)>,
     overhead: Option<&Overhead>,
@@ -656,10 +578,6 @@ fn render_json(
     out.push_str("  \"scheme_only\": {\n");
     out.push_str(&rates(scheme_only));
     out.push_str("\n  },\n");
-    out.push_str("  \"scheme_only_batched\": {\n");
-    out.push_str(&format!("    \"batch\": {batch},\n"));
-    out.push_str(&rates(scheme_only_batched));
-    out.push_str("\n  },\n");
     out.push_str("  \"full_system\": {\n");
     out.push_str(&rates(full_system));
     out.push_str("\n  }");
@@ -683,44 +601,41 @@ fn render_json(
         out.push_str("  }");
     }
     if let Some(ov) = overhead {
-        let (off, on) = (ov.off, ov.on);
         out.push_str(",\n  \"tracing_overhead\": {\n");
         out.push_str("    \"scheme\": \"silcfm\",\n");
         out.push_str("    \"layer\": \"full_system\",\n");
-        out.push_str(&format!("    \"tracer_off_acc_s\": {off:.0},\n"));
-        out.push_str(&format!("    \"tracer_on_acc_s\": {on:.0},\n"));
+        out.push_str(
+            "    \"method\": \"median rates; overheads from the median of per-round \
+             tier/untraced ratios\",\n",
+        );
+        out.push_str(&format!("    \"tracer_off_acc_s\": {:.0},\n", ov.off));
+        out.push_str(&format!("    \"tracer_on_acc_s\": {:.0},\n", ov.on.acc_s));
         out.push_str(&format!(
             "    \"on_over_off_ratio\": {:.3},\n",
-            if off > 0.0 { on / off } else { 0.0 }
+            ov.on.on_over_off
         ));
         out.push_str(&format!(
             "    \"overhead_pct\": {:.1},\n",
-            if off > 0.0 {
-                (1.0 - on / off) * 100.0
-            } else {
-                0.0
-            }
+            ov.on.overhead_pct()
         ));
-        out.push_str(&format!("    \"metrics_only_acc_s\": {:.0},\n", ov.metrics));
+        out.push_str(&format!(
+            "    \"metrics_only_acc_s\": {:.0},\n",
+            ov.metrics.acc_s
+        ));
         out.push_str(&format!(
             "    \"metrics_only_overhead_pct\": {:.1},\n",
-            if off > 0.0 {
-                (1.0 - ov.metrics / off) * 100.0
-            } else {
-                0.0
-            }
+            ov.metrics.overhead_pct()
         ));
         out.push_str("    \"sampling_tracer\": {\n");
         let mut lines: Vec<String> = Vec::new();
-        for &(period, rate) in &ov.sampled {
-            lines.push(format!("      \"period_{period}_acc_s\": {rate:.0}"));
+        for (period, tier) in &ov.sampled {
+            lines.push(format!(
+                "      \"period_{period}_acc_s\": {:.0}",
+                tier.acc_s
+            ));
             lines.push(format!(
                 "      \"period_{period}_overhead_pct\": {:.1}",
-                if off > 0.0 {
-                    (1.0 - rate / off) * 100.0
-                } else {
-                    0.0
-                }
+                tier.overhead_pct()
             ));
         }
         out.push_str(&lines.join(",\n"));

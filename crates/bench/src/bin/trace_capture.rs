@@ -27,6 +27,9 @@
 //!                     entries kept 1-in-N (N a power of two). Prints the
 //!                     counter table; the exporters consume the sampled
 //!                     ring unchanged.
+//!
+//! An unknown flag, a missing value, or a value out of range prints the
+//! usage line and exits 2.
 
 use silcfm_obs::export;
 use silcfm_sim::{run_spec, Observe, RunParams, RunSpec, SchemeKind};
@@ -46,7 +49,8 @@ struct Options {
     sampling: Option<u64>,
 }
 
-fn usage() -> ! {
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("{msg}");
     eprintln!(
         "usage: trace_capture [--workload NAME] [--scheme LABEL] [--trace PATH] \
          [--metrics-out PATH] [--summary] [--smoke] [--epoch N] [--capacity N] \
@@ -70,38 +74,39 @@ fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--workload" => opts.workload = args.next().unwrap_or_else(|| usage()),
-            "--scheme" => opts.scheme = args.next().unwrap_or_else(|| usage()),
-            "--trace" => opts.trace = Some(args.next().unwrap_or_else(|| usage())),
-            "--metrics-out" => opts.metrics_out = Some(args.next().unwrap_or_else(|| usage())),
+            "--workload" => opts.workload = value(&arg, args.next()),
+            "--scheme" => opts.scheme = value(&arg, args.next()),
+            "--trace" => opts.trace = Some(value(&arg, args.next())),
+            "--metrics-out" => opts.metrics_out = Some(value(&arg, args.next())),
             "--summary" => opts.summary = true,
             "--smoke" => opts.smoke = true,
-            "--epoch" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.epoch = v.parse().expect("--epoch must be an integer");
-                assert!(opts.epoch > 0, "--epoch must be positive");
-            }
-            "--capacity" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.capacity = v.parse().expect("--capacity must be an integer");
-                assert!(opts.capacity > 0, "--capacity must be positive");
-            }
+            "--epoch" => opts.epoch = positive(&arg, args.next()),
+            "--capacity" => opts.capacity = positive(&arg, args.next()),
             "--sampling" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                let period: u64 = v.parse().expect("--sampling must be an integer");
-                assert!(
-                    period.is_power_of_two(),
-                    "--sampling must be a power of two"
-                );
+                let period: u64 = positive(&arg, args.next());
+                if !period.is_power_of_two() {
+                    usage_exit(&format!("--sampling must be a power of two, got {period}"));
+                }
                 opts.sampling = Some(period);
             }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                usage();
-            }
+            other => usage_exit(&format!("unknown argument '{other}'")),
         }
     }
     opts
+}
+
+/// `flag`'s value, or the usage line and exit 2 when it is missing.
+fn value(flag: &str, value: Option<String>) -> String {
+    value.unwrap_or_else(|| usage_exit(&format!("{flag} needs a value")))
+}
+
+/// `flag`'s value parsed as a positive integer, or the usage line and exit 2.
+fn positive<T: std::str::FromStr + Default + PartialOrd>(flag: &str, v: Option<String>) -> T {
+    let v = value(flag, v);
+    match v.parse::<T>() {
+        Ok(n) if n > T::default() => n,
+        _ => usage_exit(&format!("{flag} must be a positive integer, got '{v}'")),
+    }
 }
 
 /// Maps a scheme label (as printed in every results table) back to its kind.

@@ -141,20 +141,6 @@ fn a1_is_silenced_by_an_annotated_allow() {
 }
 
 #[test]
-fn a1_covers_the_batched_access_path() {
-    let (findings, suppressed) = lint_rust_source(
-        "crates/types/src/batch.rs",
-        include_str!("fixtures/a1_batch_bad.rs"),
-    );
-    // `grow` is called from the `access_batch` seed, so its `vec![` fires;
-    // the `with_capacity` constructor is only reachable from setup and
-    // stays clean even though it calls `Vec::new`.
-    assert_eq!(spots(&findings, "A1"), vec![12], "{findings:#?}");
-    assert_eq!(findings.len(), 1, "only A1 fires: {findings:#?}");
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
 fn p1_and_a1_cover_the_soa_frame_table() {
     let (findings, suppressed) = lint_rust_source(
         "crates/core/src/frametable.rs",

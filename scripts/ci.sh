@@ -53,17 +53,15 @@ echo "==> simbench build + self-test (offline)"
 cargo run --release --offline --quiet --manifest-path simbench/Cargo.toml -- --self-test
 
 # Smoke-run the throughput benchmark: a tiny budget exercises the whole
-# measurement path (stream generation, all three layers, every scheme) in
-# a few seconds without writing an artifact or timing the grid. The
-# batched layer runs behind its digest gate (`--batch 64`): every
-# scheme's access_batch replay must be byte-identical to the scalar one
-# or the binary exits non-zero. `--overhead` additionally runs SILC-FM
-# with the ring tracers and epoch sampler live and reports tracer-on vs
-# tracer-off acc/s plus the sampling tier at 1-in-16/1-in-256 (the
-# full-budget numbers live in results/BENCH_throughput.json).
-echo "==> throughput benchmark (smoke budget, batch gate, tracing overhead)"
+# measurement path (stream generation, both layers, every scheme) in a
+# few seconds without writing an artifact or timing the grid.
+# `--overhead` additionally runs SILC-FM with the ring tracers and epoch
+# sampler live, the metrics-only tier and the sampling tier at
+# 1-in-16/1-in-256, each priced against the same round's untraced rate
+# (the full-budget numbers live in results/BENCH_throughput.json).
+echo "==> throughput benchmark (smoke budget, tracing overhead)"
 cargo run --release --offline -p silcfm-bench --bin throughput -- \
-  --budget 2000 --repeats 1 --batch 64 --no-write --skip-grid --overhead
+  --budget 2000 --repeats 1 --no-write --skip-grid --overhead
 
 # Latency-percentile smoke: measure per-class demand-latency sketches
 # for every scheme on a 3-workload subset through the parallel traced

@@ -949,145 +949,3 @@ fn frame_counters_saturate_at_the_field_width() {
         }
     });
 }
-
-// ---- batched access path ----------------------------------------------------
-
-/// The batched access path is, per access, byte-identical to the scalar
-/// loop: every scheme (baselines included), every batch size — including a
-/// batch larger than the whole stream — produces the same operations,
-/// service decisions and stall charges, and leaves the scheme with the
-/// same statistics.
-#[test]
-fn access_batch_is_bit_identical_to_the_scalar_loop() {
-    use silc_fm::sim::SchemeKind;
-    use silc_fm::types::{BatchOutcome, SchemeOutcome};
-
-    forall_cases(
-        "access_batch_is_bit_identical_to_the_scalar_loop",
-        12,
-        |rng| {
-            let kinds = [
-                SchemeKind::NoNm,
-                SchemeKind::Rand,
-                SchemeKind::Hma,
-                SchemeKind::Cameo,
-                SchemeKind::CameoPrefetch,
-                SchemeKind::Pom,
-                SchemeKind::silcfm(),
-            ];
-            let accesses = arb_accesses(rng, 600);
-            for kind in kinds {
-                for batch in [1usize, 7, 64, 4096] {
-                    let mut scalar = kind.build(space(), accesses.len() as u64);
-                    let mut batched = kind.build(space(), accesses.len() as u64);
-                    let mut out = SchemeOutcome::empty();
-                    let mut bout = BatchOutcome::new();
-                    let mut done = 0usize;
-                    for chunk in accesses.chunks(batch) {
-                        batched.access_batch(chunk, &mut bout);
-                        assert_eq!(bout.len(), chunk.len(), "one entry per access");
-                        for (j, access) in chunk.iter().enumerate() {
-                            scalar.access(access, &mut out);
-                            let view = bout.entry(j).unwrap();
-                            assert!(
-                                view.matches(&out),
-                                "{} batch={batch} access {}: {view:?} != {out:?}",
-                                kind.label(),
-                                done + j,
-                            );
-                        }
-                        done += chunk.len();
-                    }
-                    assert_eq!(
-                        format!("{:?}", scalar.stats()),
-                        format!("{:?}", batched.stats()),
-                        "{} batch={batch}: stats diverged",
-                        kind.label(),
-                    );
-                }
-            }
-        },
-    );
-}
-
-/// The batch equivalence holds with the heavyweight run modes on: a
-/// sampling-traced SILC-FM instance driven batched stays access-for-access
-/// identical to the scalar one — exact event counters included — while
-/// faults (degrade, bit flips, parity, repair) land between batches.
-#[test]
-fn access_batch_matches_scalar_under_tracing_and_faults() {
-    use silc_fm::obs::SamplingTracer;
-    use silc_fm::sim::SchemeKind;
-    use silc_fm::types::fault::EccOutcome;
-    use silc_fm::types::{BatchOutcome, SchemeFault, SchemeOutcome};
-
-    forall_cases(
-        "access_batch_matches_scalar_under_tracing_and_faults",
-        24,
-        |rng| {
-            let accesses = arb_accesses(rng, 400);
-            let batch = [1usize, 7, 64, 4096][rng.gen_range(0usize..4)];
-            let period = [1u64, 16, 256][rng.gen_range(0usize..3)];
-            let kind = SchemeKind::silcfm();
-            let total = accesses.len() as u64;
-            let tracer = || SamplingTracer::with_capacity(1 << 10, period);
-            let mut scalar = kind.build_with_tracer(space(), total, tracer());
-            let mut batched = kind.build_with_tracer(space(), total, tracer());
-
-            let arb_fault = |rng: &mut Xoshiro256StarStar| match rng.gen_range(0u64..4) {
-                0 => SchemeFault::DegradeWay {
-                    way: rng.gen_range(0u64..4) as u8,
-                },
-                1 => SchemeFault::RestoreWay {
-                    way: rng.gen_range(0u64..4) as u8,
-                },
-                2 => SchemeFault::BitFlip {
-                    frame: rng.gen_range(0..NM_BLOCKS) as u32,
-                    subblock: rng.gen_range(0u64..32) as u8,
-                    ecc: [
-                        EccOutcome::Corrected,
-                        EccOutcome::DetectedUncorrectable,
-                        EccOutcome::Undetected,
-                    ][rng.gen_range(0usize..3)],
-                },
-                _ => SchemeFault::MetadataParity {
-                    frame: rng.gen_range(0..NM_BLOCKS) as u32,
-                },
-            };
-
-            let mut out = SchemeOutcome::empty();
-            let mut bout = BatchOutcome::new();
-            let mut fault_out_a = SchemeOutcome::empty();
-            let mut fault_out_b = SchemeOutcome::empty();
-            for chunk in accesses.chunks(batch) {
-                // A fault lands between batches with probability 1/2 — the
-                // same fault at the same stream position on both instances,
-                // mirroring how the driver delivers scheduled faults at
-                // access boundaries.
-                if rng.gen_bool(0.5) {
-                    let fault = arb_fault(rng);
-                    let ea = scalar.apply_fault(&fault, &mut fault_out_a);
-                    let eb = batched.apply_fault(&fault, &mut fault_out_b);
-                    assert_eq!(ea, eb, "fault effects diverged for {fault:?}");
-                    assert_eq!(fault_out_a, fault_out_b, "fault traffic diverged");
-                }
-                batched.access_batch(chunk, &mut bout);
-                for (j, access) in chunk.iter().enumerate() {
-                    scalar.access(access, &mut out);
-                    let view = bout.entry(j).unwrap();
-                    assert!(view.matches(&out), "batch={batch} period={period}");
-                }
-            }
-            assert_eq!(
-                scalar.trace_counters(),
-                batched.trace_counters(),
-                "exact event counters diverged (batch={batch}, period={period})"
-            );
-            assert_eq!(
-                format!("{:?}", scalar.stats()),
-                format!("{:?}", batched.stats()),
-                "stats diverged (batch={batch}, period={period})"
-            );
-        },
-    );
-}
